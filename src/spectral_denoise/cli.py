@@ -113,7 +113,11 @@ def _partition_from_args(args, side: str, dim: int) -> Partition:
     blocks = getattr(args, f"{side}_blocks")
     part_file = getattr(args, f"{side}_partition")
     if part_file:
-        return Partition.from_lists(dim, io.read_partition_json(part_file))
+        lists = io.read_partition_json(part_file)
+        try:
+            return Partition.from_lists(dim, lists)
+        except ValueError as exc:
+            raise io.MatrixFileError(f"{part_file}: {exc}") from exc
     return make_equispaced_partition(dim, blocks if blocks else 1)
 
 

@@ -1,13 +1,20 @@
 """File formats: dense CSV, coordinate CSV, index/partition JSON, reports.
 
-Dense CSV is row-major, comma-separated, with an optional header row.
-Numbers are written with shortest round-trip formatting so a matrix that
+Dense CSV is row-major and comma-separated.  The first non-empty line is
+a header, and skipped, when any of its cells does not parse as a float.
+Empty lines are skipped.  Cells go through numpy's float parser
+(``np.loadtxt``): decimal and exponent forms, ``nan`` and ``inf``,
+surrounding spaces and double-quoted cells are accepted, Python-only
+spellings such as ``1_000`` are not.  Numbers are written with shortest
+round-trip formatting (``repr``) and CRLF line endings, so a matrix that
 is written and re-read is bit-identical.  Coordinate CSV carries a
-``row,col,value`` header and zero-based indices.
+``row,col,value`` header and zero-based integer indices.  A file that is
+malformed or not decodable text raises ``MatrixFileError``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from pathlib import Path
@@ -33,12 +40,42 @@ class MatrixFileError(ValueError):
     """A matrix file could not be parsed."""
 
 
+_COORDINATE_DTYPE = [("r", np.intp), ("c", np.intp), ("v", float)]
+
+
 def _is_float(token: str) -> bool:
     try:
         float(token)
         return True
     except ValueError:
         return False
+
+
+@contextlib.contextmanager
+def _open_text(path):
+    """Open ``path`` for reading; undecodable bytes raise ``MatrixFileError``."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not a text file ({exc})") from exc
+
+
+def _next_line(fh):
+    """The next non-empty line (``""`` at the end) and the offset it starts at."""
+    while True:
+        pos = fh.tell()
+        line = fh.readline()
+        if line != "\n":
+            return line, pos
+
+
+def _loadtxt(path, fh, **kwargs):
+    try:
+        return np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                          **kwargs)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
 
 
 def read_dense_csv(path, missing_sentinel: str | None = None):
@@ -49,31 +86,23 @@ def read_dense_csv(path, missing_sentinel: str | None = None):
     ``(matrix, mask)`` with zeros at unobserved positions; otherwise every
     cell must parse as a float and only the matrix is returned.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for line in reader:
-            if line:
-                rows.append(line)
-    if not rows:
-        raise MatrixFileError(f"{path}: empty matrix file")
-    start = 0
-    if not all(_is_float(tok) or (missing_sentinel is not None
-                                  and tok.strip() == missing_sentinel)
-               for tok in rows[0]):
-        start = 1
-    body = rows[start:]
-    if not body:
-        raise MatrixFileError(f"{path}: no data rows")
+    with _open_text(path) as fh:
+        line, pos = _next_line(fh)
+        if not line:
+            raise MatrixFileError(f"{path}: empty matrix file")
+        if not all(_is_float(tok) or (missing_sentinel is not None
+                                      and tok.strip() == missing_sentinel)
+                   for tok in next(csv.reader([line]))):
+            line, pos = _next_line(fh)
+            if not line:
+                raise MatrixFileError(f"{path}: no data rows")
+        fh.seek(pos)
+        if missing_sentinel is None:
+            return _loadtxt(path, fh, ndmin=2)
+        body = [r for r in csv.reader(fh) if r]
     width = len(body[0])
     if any(len(r) != width for r in body):
         raise MatrixFileError(f"{path}: ragged rows; dense CSV must be rectangular")
-
-    if missing_sentinel is None:
-        try:
-            return np.array([[float(tok) for tok in r] for r in body])
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}: non-numeric cell ({exc})") from exc
 
     matrix = np.zeros((len(body), width))
     mask = np.zeros((len(body), width), dtype=bool)
@@ -95,35 +124,27 @@ def write_dense_csv(path, matrix) -> None:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be 2-D")
+    # The csv module's default dialect: CRLF line ends, and ``repr`` of a
+    # float never needs quoting.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in m:
-            writer.writerow([repr(float(x)) for x in row])
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in m)
 
 
 def read_coordinate_csv(path):
     """Read ``row,col,value`` triples (zero-based, header required)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        lines = [l for l in reader if l]
-    if not lines:
-        raise MatrixFileError(f"{path}: empty coordinate file")
-    header = [tok.strip().lower() for tok in lines[0]]
-    if header != ["row", "col", "value"]:
-        raise MatrixFileError(f"{path}: coordinate CSV must start with a "
-                              "'row,col,value' header")
-    rows, cols, values = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if len(line) != 3:
-            raise MatrixFileError(f"{path}: line {i} does not have 3 fields")
-        try:
-            rows.append(int(line[0]))
-            cols.append(int(line[1]))
-            values.append(float(line[2]))
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}: line {i}: {exc}") from exc
-    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-            np.array(values))
+    with _open_text(path) as fh:
+        line, _ = _next_line(fh)
+        if not line:
+            raise MatrixFileError(f"{path}: empty coordinate file")
+        header = [tok.strip().lower() for tok in next(csv.reader([line]))]
+        if header != ["row", "col", "value"]:
+            raise MatrixFileError(f"{path}: coordinate CSV must start with a "
+                                  "'row,col,value' header")
+        line, pos = _next_line(fh)
+        fh.seek(pos)
+        table = (_loadtxt(path, fh, dtype=_COORDINATE_DTYPE, ndmin=1) if line
+                 else np.empty(0, dtype=_COORDINATE_DTYPE))
+    return tuple(np.ascontiguousarray(table[k]) for k in ("r", "c", "v"))
 
 
 def write_coordinate_csv(path, rows, cols, values) -> None:
@@ -133,28 +154,32 @@ def write_coordinate_csv(path, rows, cols, values) -> None:
     if not (rows.shape == cols.shape == values.shape):
         raise DimensionMismatchError("rows, cols, values must have equal length")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        for r, c, v in zip(rows, cols, values):
-            writer.writerow([int(r), int(c), repr(float(v))])
+        fh.write("row,col,value\r\n")
+        fh.writelines(f"{r},{c},{v!r}\r\n" for r, c, v in
+                      zip(map(int, rows.tolist()), map(int, cols.tolist()),
+                          values.tolist()))
+
+
+def _is_index(i) -> bool:
+    return isinstance(i, int) and not isinstance(i, bool)
 
 
 def read_index_json(path) -> np.ndarray:
     """Read a flat JSON array of zero-based indices."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, list) or not all(isinstance(i, int) for i in data):
+    if not isinstance(data, list) or not all(map(_is_index, data)):
         raise MatrixFileError(f"{path}: expected a JSON array of integers")
     return np.asarray(data, dtype=np.intp)
 
 
 def read_partition_json(path) -> list:
     """Read a JSON array of arrays of zero-based indices."""
-    with open(path) as fh:
+    with _open_text(path) as fh:
         data = json.load(fh)
     if (not isinstance(data, list)
             or not all(isinstance(b, list) for b in data)
-            or not all(isinstance(i, int) for b in data for i in b)):
+            or not all(_is_index(i) for b in data for i in b)):
         raise MatrixFileError(f"{path}: expected a JSON array of index arrays")
     return data
 

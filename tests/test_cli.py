@@ -1,5 +1,6 @@
 import json
 
+import csv_reference
 import numpy as np
 import pytest
 
@@ -55,6 +56,93 @@ class TestIoFormats:
     def test_coordinate_header_required(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("0,1,2.0\n")
+        with pytest.raises(io.MatrixFileError):
+            io.read_coordinate_csv(path)
+
+    @pytest.mark.parametrize("text, sentinel", [
+        (b"a,b\n1.5,2\n3,4\n", None),
+        (b'"x","y"\n1,2\n', None),
+        (b"\n a , b \n\n1,2\n\n3,4\n\n", None),
+        (b"1,2\r\n3,4\r\n", None),
+        (b'"1.5",2\n3,"-4e-3"\n', None),
+        (b" 1 , 2 \n", None),
+        (b"1,2,3\n", None),
+        (b"1\n2\n3\n", None),
+        (b"7.25", None),
+        (b"a,b,c\n\n1.0,,2.0\r\n,3.0,\n", ""),
+        (b"1,NA\nNA,2\n", "NA"),
+    ], ids=["header", "quoted-header", "blank-lines", "crlf", "quoted-cells",
+            "spaces", "single-row", "single-column", "single-cell",
+            "sentinel-header-crlf", "sentinel-word"])
+    def test_dense_reader_matches_reference(self, tmp_path, text, sentinel):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        got = io.read_dense_csv(path, missing_sentinel=sentinel)
+        want = csv_reference.read_dense_csv(path, missing_sentinel=sentinel)
+        if sentinel is None:
+            got, want = (got,), (want,)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_writers_match_reference(self, tmp_path):
+        M = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+                      [1.0, -3.0, 1e22, 2.0 ** 60],
+                      [np.nan, np.inf, -np.inf, 1.5e-300]])
+        new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+        io.write_dense_csv(new, M)
+        csv_reference.write_dense_csv(ref, M)
+        assert new.read_bytes() == ref.read_bytes()
+        assert new.read_bytes().count(b"\r\n") == M.shape[0]
+        back = io.read_dense_csv(new)
+        assert back.tobytes() == csv_reference.read_dense_csv(ref).tobytes()
+        assert np.array_equal(back, M, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(M))
+
+        rows, cols = np.nonzero(np.ones(M.shape, dtype=bool))
+        io.write_coordinate_csv(new, rows, cols, M.ravel())
+        csv_reference.write_coordinate_csv(ref, rows, cols, M.ravel())
+        assert new.read_bytes() == ref.read_bytes()
+        for a, b in zip(io.read_coordinate_csv(new),
+                        csv_reference.read_coordinate_csv(ref)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        b"1,2\n3\n", b"1,2\nx,y\n", b"1,2,\n", b"", b"\n\n", b"a,b\n",
+        b"a,b\n\n\n", b"1_000,2\n", b"\xff\xfe\x00\x01binary",
+    ], ids=["ragged", "non-numeric", "trailing-comma", "empty", "blank-only",
+            "header-only", "header-then-blank", "python-only-literal",
+            "undecodable"])
+    def test_dense_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(io.MatrixFileError):
+            io.read_dense_csv(path)
+
+    @pytest.mark.parametrize("text", [
+        b" Row , COL ,value \n0,1,2.5\n3,4,-1e-3\n",
+        b"\nrow,col,value\r\n\r\n0,1,2.5\r\n\r\n2,0,3\r\n",
+        b'row,col,value\n"0","1","2.5"\n 5 , 6 , 7 \n',
+        b"row,col,value\n",
+    ], ids=["header-case-spaces", "blank-lines-crlf", "quoted-and-spaces",
+            "header-only"])
+    def test_coordinate_reader_matches_reference(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text)
+        for a, b in zip(io.read_coordinate_csv(path),
+                        csv_reference.read_coordinate_csv(path)):
+            assert a.dtype == b.dtype and a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        b"row,col,value\n1.0,2,3\n", b"row,col,value\n1,2\n",
+        b"row,col,value\n1,2,3,4\n", b"row,col,value\n1,2,3\n4,5\n",
+        b"", b"row,col,value\n\xff\xfe\n",
+    ], ids=["float-index", "two-fields", "four-fields", "short-second-line",
+            "empty", "undecodable"])
+    def test_coordinate_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "c.csv"
+        path.write_bytes(text)
         with pytest.raises(io.MatrixFileError):
             io.read_coordinate_csv(path)
 
@@ -120,6 +208,38 @@ class TestDenoiseCommands:
         path = tmp_path / "bad.csv"
         path.write_text("1,2\nx,y,z\n")
         assert cli.main(["shrink", "--input", str(path),
+                         "--output", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--input", "--rows"])
+    def test_undecodable_file_exits_2(self, tmp_path, spiked_csv, capsys, flag):
+        path, Y, sig = spiked_csv
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00")
+        idx = tmp_path / "idx.json"
+        idx.write_text(json.dumps([0, 1]))
+        files = {"--input": path, "--rows": idx, "--cols": idx, flag: bad}
+        argv = ["submatrix", "--output", str(tmp_path / "x.csv")]
+        for option, file in files.items():
+            argv += [option, str(file)]
+        assert cli.main(argv) == 2
+        assert "bad.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, content", [
+        ("localized", "--row-partition", [[0], [0, 1]]),
+        ("localized", "--row-partition", [list(range(119))]),
+        ("localized", "--row-partition", [[True], list(range(1, 120))]),
+        ("submatrix", "--rows", [True, False]),
+    ], ids=["overlapping-blocks", "uncovered-index", "boolean-partition",
+            "boolean-indices"])
+    def test_invalid_index_file_exits_2(self, tmp_path, spiked_csv, command,
+                                        flag, content):
+        path, Y, sig = spiked_csv
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        cols = tmp_path / "cols.json"
+        cols.write_text(json.dumps([0, 1]))
+        extra = ["--cols", str(cols)] if command == "submatrix" else []
+        assert cli.main([command, "--input", str(path), flag, str(bad), *extra,
                          "--output", str(tmp_path / "x.csv")]) == 2
 
     def test_dimension_mismatch_exits_3(self, tmp_path, spiked_csv):
