@@ -191,7 +191,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.config:
-        with open(args.config) as fh:
+        with io._open_text(args.config) as fh:
             config = json.load(fh)
     else:
         config = {}

@@ -72,6 +72,25 @@ class DenoiseResult:
         return self.spikes.rank
 
 
+def _solve_side(gram: np.ndarray, cross: np.ndarray):
+    """One side of the weighted solve: ``L = pinv(D) C`` and ``K = C^T L``.
+
+    The coefficients are ``L diag(t) R^T`` and the raw AMSE
+    ``t^T (E o E~ - K o K~) t``, with ``R``, ``K~`` the column side's.
+    """
+    L = _sym_pinv(gram) @ cross
+    return L, cross.T @ L
+
+
+def _solve(geom: WeightedGeometry):
+    """Optimal coefficients and raw AMSE, one pseudoinverse per side."""
+    L, K = _solve_side(geom.gram_left, geom.cross_left)
+    R, Kt = _solve_side(geom.gram_right, geom.cross_right)
+    t = geom.t
+    raw = t @ (geom.pop_gram_left * geom.pop_gram_right - K * Kt) @ t
+    return (L * t) @ R.T, float(raw)
+
+
 def optimal_coefficients(geom: WeightedGeometry) -> np.ndarray:
     """Coefficient matrix minimizing the asymptotic weighted loss.
 
@@ -81,23 +100,11 @@ def optimal_coefficients(geom: WeightedGeometry) -> np.ndarray:
     empirical weighted Grams ``D``/``D~`` and the recovered population
     cross matrices ``C``/``C~``.
     """
-    if geom.rank == 0:
-        return np.zeros((0, 0))
-    left = _sym_pinv(geom.gram_left)
-    right = _sym_pinv(geom.gram_right)
-    return left @ geom.cross_left @ np.diag(geom.t) @ geom.cross_right.T @ right
+    return _solve(geom)[0]
 
 
 def _amse_raw(geom: WeightedGeometry) -> float:
-    if geom.rank == 0:
-        return 0.0
-    t = np.diag(geom.t)
-    left = _sym_pinv(geom.gram_left)
-    right = _sym_pinv(geom.gram_right)
-    inner = (geom.pop_gram_left @ t @ geom.pop_gram_right
-             - geom.cross_left.T @ left @ geom.cross_left @ t
-             @ geom.cross_right.T @ right @ geom.cross_right)
-    return float(np.sum(inner * t))
+    return _solve(geom)[1]
 
 
 def amse_estimate(geom: WeightedGeometry) -> float:
@@ -137,6 +144,24 @@ def _zero_result(Y: np.ndarray, spikes: SpikeParams, mu: float, nu: float) -> De
     return DenoiseResult(np.zeros((0, 0)), np.zeros_like(Y), 0.0, spikes, geom)
 
 
+def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
+    """Shared body of the weighted denoisers; ``solve`` gives (coefficients, raw AMSE)."""
+    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
+    p, n = Y.shape
+    omega = as_weight_operator(omega, p)
+    pi = as_weight_operator(pi, n)
+    mu = trace_weight(omega, p)
+    nu = trace_weight(pi, n)
+    if spikes.rank == 0:
+        return _zero_result(Y, spikes, mu, nu)
+
+    geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
+                                       spikes, mu, nu)
+    coeff, raw = solve(geom, spikes)
+    return DenoiseResult(coeff, U @ coeff @ V.T, max(raw, 0.0), spikes, geom,
+                         geom.clipped, raw < 0)
+
+
 def spectral_denoise(Y, omega=None, pi=None, rank: int | None = None,
                      margin: float = 0.0) -> DenoiseResult:
     """Optimal spectral denoiser for the weighted Frobenius loss.
@@ -160,23 +185,18 @@ def spectral_denoise(Y, omega=None, pi=None, rank: int | None = None,
     shrinkage.  A detected rank of 0 returns the zero matrix with a zero
     error estimate.
     """
-    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    p, n = Y.shape
-    omega = as_weight_operator(omega, p)
-    pi = as_weight_operator(pi, n)
-    mu = trace_weight(omega, p)
-    nu = trace_weight(pi, n)
-    if spikes.rank == 0:
-        return _zero_result(Y, spikes, mu, nu)
+    return _weighted_denoise(Y, omega, pi, rank, margin,
+                             lambda geom, spikes: _solve(geom))
 
-    gram_left = weighted_gram(U, omega)
-    gram_right = weighted_gram(V, pi)
-    geom = recover_population_geometry(gram_left, gram_right, spikes, mu, nu)
-    coeff = optimal_coefficients(geom)
-    estimate = U @ coeff @ V.T
-    raw = _amse_raw(geom)
-    return DenoiseResult(coeff, estimate, max(raw, 0.0), spikes, geom,
-                         geom.clipped, raw < 0)
+
+def _diagonal_solve(geom: WeightedGeometry, spikes: SpikeParams):
+    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
+    eta_left = geom.alpha / (c**2 * geom.alpha + s**2 * geom.mu)
+    eta_right = geom.beta / (ct**2 * geom.beta + st**2 * geom.nu)
+    values = geom.t * c * ct * eta_left * eta_right
+    amse = np.sum(geom.t**2 * geom.alpha * geom.beta
+                  * (1.0 - c**2 * ct**2 * eta_left * eta_right))
+    return np.diag(values), float(amse)
 
 
 def diagonal_denoise(Y, omega=None, pi=None, rank: int | None = None,
@@ -192,28 +212,7 @@ def diagonal_denoise(Y, omega=None, pi=None, rank: int | None = None,
     weight mass.  Under weighted orthogonality this matches the full
     optimal spectral denoiser.
     """
-    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    p, n = Y.shape
-    omega = as_weight_operator(omega, p)
-    pi = as_weight_operator(pi, n)
-    mu = trace_weight(omega, p)
-    nu = trace_weight(pi, n)
-    if spikes.rank == 0:
-        return _zero_result(Y, spikes, mu, nu)
-
-    gram_left = weighted_gram(U, omega)
-    gram_right = weighted_gram(V, pi)
-    geom = recover_population_geometry(gram_left, gram_right, spikes, mu, nu)
-    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
-    eta_left = geom.alpha / (c**2 * geom.alpha + s**2 * mu)
-    eta_right = geom.beta / (ct**2 * geom.beta + st**2 * nu)
-    values = geom.t * c * ct * eta_left * eta_right
-    coeff = np.diag(values)
-    estimate = (U * values) @ V.T
-    amse = float(np.sum(geom.t**2 * geom.alpha * geom.beta
-                        * (1.0 - c**2 * ct**2 * eta_left * eta_right)))
-    return DenoiseResult(coeff, estimate, max(amse, 0.0), spikes, geom,
-                         geom.clipped, amse < 0)
+    return _weighted_denoise(Y, omega, pi, rank, margin, _diagonal_solve)
 
 
 def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:

@@ -224,6 +224,26 @@ def _empty_geometry(mu: float, nu: float) -> WeightedGeometry:
                             mu, nu, v.copy(), v.copy())
 
 
+def _recover_side(gram, cos, sin, mass, alpha_floor: float = ALPHA_FLOOR):
+    """One side of :func:`recover_population_geometry`: ``(alpha, E, C, clipped)``."""
+    energy_raw = (np.diag(gram) - sin**2 * mass) / cos**2
+    clip = np.nonzero(energy_raw < alpha_floor)[0]
+    energy = np.maximum(energy_raw, alpha_floor)
+    pop = gram / np.outer(cos, cos)
+    np.fill_diagonal(pop, energy)
+    cross = cos[:, None] * pop
+    return energy, pop, cross, clip
+
+
+def _check_cosines(spikes: SpikeParams) -> None:
+    small = np.nonzero((spikes.c < MIN_COSINE) | (spikes.c_tilde < MIN_COSINE))[0]
+    if small.size:
+        k = int(small[0])
+        raise IllConditionedRecoveryError(
+            f"component {k} has cosine below {MIN_COSINE:g}; too close to the "
+            "detection threshold to recover weighted geometry")
+
+
 def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
                                 mu: float, nu: float,
                                 alpha_floor: float = ALPHA_FLOOR) -> WeightedGeometry:
@@ -253,25 +273,9 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
     if r == 0:
         return _empty_geometry(mu, nu)
 
-    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
-    small = np.nonzero((c < MIN_COSINE) | (ct < MIN_COSINE))[0]
-    if small.size:
-        k = int(small[0])
-        raise IllConditionedRecoveryError(
-            f"component {k} has cosine below {MIN_COSINE:g}; too close to the "
-            "detection threshold to recover weighted geometry")
-
-    def _one_side(gram, cos, sin, mass):
-        energy_raw = (np.diag(gram) - sin**2 * mass) / cos**2
-        clip = np.nonzero(energy_raw < alpha_floor)[0]
-        energy = np.maximum(energy_raw, alpha_floor)
-        pop = gram / np.outer(cos, cos)
-        np.fill_diagonal(pop, energy)
-        cross = cos[:, None] * pop
-        return energy, pop, cross, clip
-
-    alpha, E, C, clip_l = _one_side(D, c, s, mu)
-    beta, Et, Ct, clip_r = _one_side(Dt, ct, st, nu)
+    _check_cosines(spikes)
+    alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu, alpha_floor)
+    beta, Et, Ct, clip_r = _recover_side(Dt, spikes.c_tilde, spikes.s_tilde, nu, alpha_floor)
     clipped = tuple(sorted(set(clip_l.tolist()) | set(clip_r.tolist())))
 
     return WeightedGeometry(r, spikes.t.copy(), D, Dt, E, Et, C, Ct,

@@ -160,8 +160,11 @@ def write_coordinate_csv(path, rows, cols, values) -> None:
                           values.tolist()))
 
 
+_INTP = np.iinfo(np.intp)
+
+
 def _is_index(i) -> bool:
-    return isinstance(i, int) and not isinstance(i, bool)
+    return type(i) is int and _INTP.min <= i <= _INTP.max
 
 
 def read_index_json(path) -> np.ndarray:
@@ -169,7 +172,7 @@ def read_index_json(path) -> np.ndarray:
     with _open_text(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not all(map(_is_index, data)):
-        raise MatrixFileError(f"{path}: expected a JSON array of integers")
+        raise MatrixFileError(f"{path}: expected a JSON array of machine-size integers")
     return np.asarray(data, dtype=np.intp)
 
 

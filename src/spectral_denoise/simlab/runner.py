@@ -24,8 +24,8 @@ import numpy as np
 from .noise import derive_seed
 from .scenarios import SCENARIOS
 
-__all__ = ["ExperimentReport", "run_experiment", "rank_estimation_study",
-           "resolve_config", "CONFIG_SCHEMA_VERSION"]
+__all__ = ["ExperimentReport", "run_experiment", "resolve_config",
+           "CONFIG_SCHEMA_VERSION"]
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -208,11 +208,3 @@ def run_experiment(config, output_dir=None, jobs: int = 1) -> ExperimentReport:
         report.write(output_dir)
     return report
 
-
-def rank_estimation_study(config=None, output_dir=None, jobs: int = 1) -> ExperimentReport:
-    """Run the rank-estimation scenario (naive detection vs oracle rank)."""
-    config = dict(config or {})
-    config.setdefault("scenario", "rank-estimation")
-    if config["scenario"] != "rank-estimation":
-        raise ValueError("rank_estimation_study only runs the rank-estimation scenario")
-    return run_experiment(config, output_dir=output_dir, jobs=jobs)

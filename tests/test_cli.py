@@ -229,8 +229,11 @@ class TestDenoiseCommands:
         ("localized", "--row-partition", [list(range(119))]),
         ("localized", "--row-partition", [[True], list(range(1, 120))]),
         ("submatrix", "--rows", [True, False]),
+        ("localized", "--row-partition", [[10**23], list(range(120))]),
+        ("submatrix", "--rows", [10**23]),
     ], ids=["overlapping-blocks", "uncovered-index", "boolean-partition",
-            "boolean-indices"])
+            "boolean-indices", "partition-index-beyond-intp",
+            "index-beyond-intp"])
     def test_invalid_index_file_exits_2(self, tmp_path, spiked_csv, command,
                                         flag, content):
         path, Y, sig = spiked_csv
@@ -361,6 +364,13 @@ class TestSimulateCommand:
         assert a["aggregates"] == b["aggregates"]
         assert (tmp_path / "one" / "replicates.csv").read_text() \
             == (tmp_path / "eight" / "replicates.csv").read_text()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--output-dir", str(tmp_path / "o")]) == 2
+        assert "cfg.json" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_SEED, "77")

@@ -9,6 +9,7 @@ from spectral_denoise.denoise import _amse_raw, amse_estimate
 from spectral_denoise.geometry import WeightedGeometry, recover_population_geometry
 from spectral_denoise.simlab import two_block_vectors, weighted_loss
 
+import solve_reference
 from test_geometry import spikes_from_t
 
 
@@ -81,6 +82,33 @@ class TestOptimalCoefficients:
             step = rng.standard_normal(coeff.shape)
             step *= 1e-3 / np.linalg.norm(step)
             assert quadratic_objective(geom, coeff + step) >= base - 1e-9
+
+
+def singular_geometry(rng, r, m=150):
+    """Index weights keeping fewer rows than ``r``: singular weighted Grams."""
+    Ue, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    Ve, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    keep = max(r - 1, 1)
+    om = WeightOperator.from_indices(rng.choice(m, keep, replace=False), m)
+    pi = WeightOperator.from_indices(rng.choice(m, keep, replace=False), m)
+    spikes = spikes_from_t(np.linspace(4.0, 2.0, r), 0.5)
+    return recover_population_geometry(weighted_gram(Ue, om), weighted_gram(Ve, pi),
+                                       spikes, keep / m, keep / m)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_per_side_solve_matches_reference(r):
+    # The per-side factors must reproduce the two-pseudoinverse formulas,
+    # also when a weight annihilates a direction and pinv drops it.
+    rng = np.random.default_rng(300 + r)
+    geoms = [random_geometry(rng, r) for _ in range(5)]
+    geoms += [singular_geometry(rng, r) for _ in range(3)]
+    for geom in geoms:
+        ref = solve_reference.optimal_coefficients(geom)
+        coeff = optimal_coefficients(geom)
+        assert np.max(np.abs(coeff - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+        assert _amse_raw(geom) == pytest.approx(solve_reference.amse_raw(geom),
+                                                rel=1e-12, abs=1e-12)
 
 
 class TestAmseEstimate:

@@ -6,6 +6,7 @@ import pytest
 from spectral_denoise import (DimensionMismatchError, Partition, WeightOperator,
                               localized_denoise, make_equispaced_partition,
                               spectral_denoise, svs_shrink)
+from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (SignalSpec, gen_signal, two_block_vectors,
                                      weighted_loss)
 
@@ -51,6 +52,9 @@ class TestPartition:
         path.write_text(json.dumps(part.to_lists()))
         back = Partition.from_json(path, 6)
         assert [b.tolist() for b in back.blocks] == part.to_lists()
+        path.write_text("[[true], [false]]")
+        with pytest.raises(MatrixFileError):
+            Partition.from_json(path, 2)
 
 
 def test_frobenius_decomposition_identity():
@@ -109,17 +113,28 @@ class TestLocalizedDenoise:
     def test_tiles_equal_per_pair_denoisers(self):
         rng = np.random.default_rng(21)
         X, Y = _spiked_instance(rng, 150, 180, kind="block_image")
-        rows = make_equispaced_partition(150, 3)
-        cols = make_equispaced_partition(180, 2)
-        loc = localized_denoise(Y, rows, cols)
-        for rb in rows.blocks:
-            for cb in cols.blocks:
-                om = WeightOperator.from_indices(rb, 150)
-                pi = WeightOperator.from_indices(cb, 180)
-                pair = spectral_denoise(Y, om, pi, rank=loc.rank)
-                tile = loc.estimate[np.ix_(rb, cb)]
-                ref = pair.estimate[np.ix_(rb, cb)]
-                assert np.allclose(tile, ref, atol=1e-12)
+        # Uneven, non-contiguous blocks: scattered indices of sizes 17/90/43
+        # and 5/60/115.
+        perm_r, perm_c = rng.permutation(150), rng.permutation(180)
+        scattered = (
+            Partition.from_lists(150, np.split(perm_r, [17, 107])),
+            Partition.from_lists(180, np.split(perm_c, [5, 65])))
+        even = (make_equispaced_partition(150, 3), make_equispaced_partition(180, 2))
+        for rows, cols in (even, scattered):
+            loc = localized_denoise(Y, rows, cols)
+            clipped = set()
+            for i, rb in enumerate(rows.blocks):
+                for j, cb in enumerate(cols.blocks):
+                    om = WeightOperator.from_indices(rb, 150)
+                    pi = WeightOperator.from_indices(cb, 180)
+                    pair = spectral_denoise(Y, om, pi, rank=loc.rank)
+                    tile = loc.estimate[np.ix_(rb, cb)]
+                    ref = pair.estimate[np.ix_(rb, cb)]
+                    assert np.allclose(tile, ref, atol=1e-12)
+                    assert loc.tile_amse[i, j] == pytest.approx(
+                        pair.amse_estimate, rel=1e-12, abs=1e-12)
+                    clipped.update(pair.clipped_components)
+            assert loc.clipped_components == tuple(sorted(clipped))
 
     def test_amse_is_sum_of_tiles(self):
         rng = np.random.default_rng(23)

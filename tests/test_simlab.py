@@ -7,8 +7,8 @@ import pytest
 from spectral_denoise.errors import UndefinedMetricError
 from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
                                      gen_noise, gen_signal, make_rng,
-                                     rank_estimation_study, relative_error,
-                                     resolve_config, run_experiment, splitmix64)
+                                     relative_error, resolve_config,
+                                     run_experiment, splitmix64)
 from spectral_denoise.simlab.scenarios import offset_partition
 
 
@@ -232,9 +232,9 @@ class TestRunner:
         assert seq.rows == par.rows
         assert seq.aggregates == par.aggregates
 
-    def test_rank_estimation_wrapper(self):
-        rep = rank_estimation_study({"seed": 5, "replicates": 2,
-                                     "params": {"p": 120, "n": 240}})
+    def test_rank_estimation_scenario(self):
+        rep = run_experiment({"scenario": "rank-estimation", "seed": 5,
+                              "replicates": 2, "params": {"p": 120, "n": 240}})
         assert rep.scenario == "rank-estimation"
         assert {"naive_rank", "rel_err_oracle", "rel_err_naive"} <= set(rep.columns)
 
