@@ -60,10 +60,11 @@ def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
     """Estimate a submatrix of the signal using the whole observed matrix.
 
     Runs the optimal spectral denoiser with coordinate-selection weights
-    for the requested rows and columns, then restricts the estimate to
-    them.  Rows and columns outside the submatrix still contribute to the
-    SVD, which is what makes this beat shrinkage on the submatrix alone
-    when the submatrix's share of the signal energy is not too large.
+    for the requested rows and columns and forms only that block of its
+    estimate, ``U[rows] C V[cols]^T``.  Rows and columns outside the
+    submatrix still contribute to the SVD, which is what makes this beat
+    shrinkage on the submatrix alone when its share of the signal energy
+    is not too large.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -74,7 +75,7 @@ def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
     omega = WeightOperator.from_indices(rows, p)
     pi = WeightOperator.from_indices(cols, n)
     res = spectral_denoise(Y, omega, pi, rank=rank, margin=margin)
-    return SubmatrixResult(res.estimate[np.ix_(rows, cols)], res)
+    return SubmatrixResult(omega.apply(res.left) @ pi.apply(res.right).T, res)
 
 
 def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
@@ -158,22 +159,14 @@ class NoiseCovariances:
         vals = side["vals"] ** exponent
         return (side["vecs"] * vals) @ side["vecs"].T
 
-    def _apply(self, side, exponent, M, left):
-        w = self._power(side, exponent)
-        if w.ndim == 1:
-            return w[:, None] * M if left else M * w[None, :]
-        return w @ M if left else M @ w
-
     def whiten(self, Y: np.ndarray) -> np.ndarray:
         """``S**-0.5 @ Y @ T**-0.5``."""
         if Y.shape != (self.p, self.n):
             raise DimensionMismatchError(
                 f"Y has shape {Y.shape}, covariances expect ({self.p}, {self.n})")
-        return self._apply(self._col, -0.5, self._apply(self._row, -0.5, Y, True), False)
-
-    def unwhiten(self, M: np.ndarray) -> np.ndarray:
-        """``S**0.5 @ M @ T**0.5``."""
-        return self._apply(self._col, 0.5, self._apply(self._row, 0.5, M, True), False)
+        row, col = self._power(self._row, -0.5), self._power(self._col, -0.5)
+        M = row[:, None] * Y if row.ndim == 1 else row @ Y
+        return M * col if col.ndim == 1 else M @ col
 
     def sqrt_weights(self):
         """Weight operators ``S**0.5`` and ``T**0.5`` for the whitened loss."""
@@ -201,9 +194,10 @@ class NoiseCovariances:
 class WhitenResult:
     """Denoised matrix in original coordinates plus the whitened-domain result.
 
-    The inner weighted error estimate equals the estimate of the final
-    unweighted error, since unwhitening turns the weighted loss back into
-    the plain Frobenius loss.
+    ``estimate`` is ``(S**0.5 left)(T**0.5 right)^T`` of the inner
+    factors.  The inner weighted error estimate equals the estimate of the
+    final unweighted error, since mapping back to the original coordinates
+    turns the weighted loss into the plain Frobenius loss.
     """
 
     estimate: np.ndarray
@@ -216,7 +210,7 @@ class WhitenResult:
 
 def whiten_denoise(Y, cov: NoiseCovariances, rank: int | None = None,
                    margin: float = 0.0) -> WhitenResult:
-    """Whiten, denoise under the matching weighted loss, unwhiten.
+    """Whiten, denoise under the matching weighted loss, map back.
 
     The whitened matrix ``S**-0.5 Y T**-0.5`` has iid variance-``1/n``
     noise; estimating the original signal in unweighted loss is the same
@@ -228,7 +222,7 @@ def whiten_denoise(Y, cov: NoiseCovariances, rank: int | None = None,
     whitened = cov.whiten(Y)
     omega, pi = cov.sqrt_weights()
     res = spectral_denoise(whitened, omega, pi, rank=rank, margin=margin)
-    return WhitenResult(cov.unwhiten(res.estimate), res)
+    return WhitenResult(omega.apply(res.left) @ pi.apply(res.right).T, res)
 
 
 def estimate_noise_covariances(Y) -> NoiseCovariances:
@@ -288,9 +282,9 @@ class SamplingPattern:
         self.values = np.asarray(values, dtype=float)
         if self.q_row.ndim != 1 or self.q_col.ndim != 1:
             raise ValueError("q_row and q_col must be 1-D probability vectors")
-        if np.any(self.q_row <= 0) or np.any(self.q_row > 1) \
-                or np.any(self.q_col <= 0) or np.any(self.q_col > 1):
-            raise ValueError("sampling probabilities must lie in (0, 1]")
+        for name, q in (("q_row", self.q_row), ("q_col", self.q_col)):
+            if not np.all((q > 0) & (q <= 1)):  # NaN fails both comparisons
+                raise ValueError(f"{name}: sampling probabilities must lie in (0, 1]")
         if self.mask.shape != (self.q_row.size, self.q_col.size):
             raise DimensionMismatchError(
                 f"mask shape {self.mask.shape} does not match probability "
@@ -299,6 +293,8 @@ class SamplingPattern:
         if self.values.shape != (count,):
             raise ValueError(
                 f"got {self.values.size} observed values for {count} sampled entries")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values: observed entries must be finite")
 
     @property
     def shape(self):
@@ -368,9 +364,9 @@ def estimate_sampling_probabilities(mask):
 class MissingDataResult:
     """Completed-and-denoised matrix plus the inner weighted denoiser.
 
-    ``amse_estimate`` is in the coordinates of the final estimate (the
-    inner estimate is computed on a ``1/sqrt(n)``-rescaled matrix, so the
-    inner figure is scaled back up by ``n``).
+    ``estimate`` is ``sqrt(n) (P**-0.5 left)(Q**-0.5 right)^T`` of the
+    inner factors; ``amse_estimate`` is in its coordinates, the inner
+    figure (on a ``1/sqrt(n)``-rescaled matrix) scaled up by ``n``.
     """
 
     estimate: np.ndarray
@@ -393,10 +389,11 @@ def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
     inv_r = 1.0 / np.sqrt(pattern.q_row)
     inv_c = 1.0 / np.sqrt(pattern.q_col)
     n = pattern.q_col.size
-    backprojected = backproject(pattern)
-    scaled = (inv_r[:, None] * backprojected * inv_c[None, :]) / np.sqrt(n)
-    res = spectral_denoise(scaled, WeightOperator.from_diagonal(inv_r),
-                           WeightOperator.from_diagonal(inv_c),
-                           rank=rank, margin=margin)
-    estimate = np.sqrt(n) * (inv_r[:, None] * res.estimate * inv_c[None, :])
+    scaled = backproject(pattern)
+    scaled *= inv_r[:, None]
+    scaled *= inv_c[None, :]
+    scaled /= np.sqrt(n)
+    omega, pi = WeightOperator.from_diagonal(inv_r), WeightOperator.from_diagonal(inv_c)
+    res = spectral_denoise(scaled, omega, pi, rank=rank, margin=margin)
+    estimate = (np.sqrt(n) * omega.apply(res.left)) @ pi.apply(res.right).T
     return MissingDataResult(estimate, res, n * res.amse_estimate)

@@ -13,7 +13,6 @@ other domain errors, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -190,11 +189,7 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.config:
-        with io._open_text(args.config) as fh:
-            config = json.load(fh)
-    else:
-        config = {}
+    config = io._read_json(args.config) if args.config else {}
     if args.scenario:
         config["scenario"] = args.scenario
     if args.replicates is not None:
@@ -290,7 +285,7 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (io.MatrixFileError, OSError, json.JSONDecodeError) as exc:
+    except (io.MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
     except (SpectralDenoiseError, ValueError) as exc:

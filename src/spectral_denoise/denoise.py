@@ -48,28 +48,37 @@ def _sym_pinv(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
     return (vecs * inv) @ vecs.T
 
 
-@dataclass(frozen=True)
-class DenoiseResult:
-    """Output of a spectral denoiser.
+class _FactoredResult:
+    """A result kept as factors ``left`` (``p x r``) and ``right`` (``n x r``)."""
 
-    ``estimate`` is the denoised matrix, equal to ``U @ coefficients @ V.T``
-    for the top singular vectors of the input, so its rank never exceeds
-    the detected rank.  ``amse_estimate`` is the plug-in estimate of the
-    asymptotic weighted mean squared error (clamped at 0; ``amse_clamped``
-    records whether clamping fired).
+    @property
+    def estimate(self) -> np.ndarray:
+        """The dense ``p x n`` estimate ``left @ right.T``, formed on each access."""
+        return self.left @ self.right.T
+
+    @property
+    def rank(self) -> int:
+        return self.spikes.rank
+
+
+@dataclass(frozen=True)
+class DenoiseResult(_FactoredResult):
+    """Output of a spectral denoiser, kept as rank-``r`` factors.
+
+    ``left = U @ coefficients`` and ``right = V`` for the top singular
+    vectors of the input, so the estimate's rank is at most the detected
+    rank.  ``amse_estimate`` is the plug-in asymptotic weighted MSE
+    (clamped at 0; ``amse_clamped`` records whether clamping fired).
     """
 
     coefficients: np.ndarray
-    estimate: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     amse_estimate: float
     spikes: SpikeParams
     geometry: WeightedGeometry
     clipped_components: tuple = field(default=())
     amse_clamped: bool = False
-
-    @property
-    def rank(self) -> int:
-        return self.spikes.rank
 
 
 def _solve_side(gram: np.ndarray, cross: np.ndarray):
@@ -139,11 +148,6 @@ def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     return Y, U[:, :spikes.rank], V[:, :spikes.rank], spikes
 
 
-def _zero_result(Y: np.ndarray, spikes: SpikeParams, mu: float, nu: float) -> DenoiseResult:
-    geom = _empty_geometry(mu, nu)
-    return DenoiseResult(np.zeros((0, 0)), np.zeros_like(Y), 0.0, spikes, geom)
-
-
 def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
     """Shared body of the weighted denoisers; ``solve`` gives (coefficients, raw AMSE)."""
     Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
@@ -153,12 +157,12 @@ def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
     mu = trace_weight(omega, p)
     nu = trace_weight(pi, n)
     if spikes.rank == 0:
-        return _zero_result(Y, spikes, mu, nu)
+        return DenoiseResult(np.zeros((0, 0)), U, V, 0.0, spikes, _empty_geometry(mu, nu))
 
     geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
                                        spikes, mu, nu)
     coeff, raw = solve(geom, spikes)
-    return DenoiseResult(coeff, U @ coeff @ V.T, max(raw, 0.0), spikes, geom,
+    return DenoiseResult(coeff, U @ coeff, V, max(raw, 0.0), spikes, geom,
                          geom.clipped, raw < 0)
 
 
@@ -233,13 +237,10 @@ def svs_shrink(Y, rank: int | None = None, margin: float = 0.0) -> DenoiseResult
     weight special case of :func:`spectral_denoise`, computed in closed
     form.
     """
-    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    if spikes.rank == 0:
-        return _zero_result(Y, spikes, 1.0, 1.0)
+    _, U, V, spikes = _detect_and_estimate(Y, rank, margin)
     values = spikes.t * spikes.c * spikes.c_tilde
-    estimate = (U * values) @ V.T
     amse = float(np.sum(spikes.t**2 * (1.0 - spikes.c**2 * spikes.c_tilde**2)))
-    return DenoiseResult(np.diag(values), estimate, amse, spikes,
+    return DenoiseResult(np.diag(values), U * values, V, amse, spikes,
                          _identity_geometry(spikes))
 
 

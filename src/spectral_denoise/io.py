@@ -167,10 +167,19 @@ def _is_index(i) -> bool:
     return type(i) is int and _INTP.min <= i <= _INTP.max
 
 
+def _read_json(path):
+    """Parse a JSON file; bad JSON or an over-long integer raises ``MatrixFileError``."""
+    with _open_text(path) as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
+
+
 def read_index_json(path) -> np.ndarray:
     """Read a flat JSON array of zero-based indices."""
-    with _open_text(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, list) or not all(map(_is_index, data)):
         raise MatrixFileError(f"{path}: expected a JSON array of machine-size integers")
     return np.asarray(data, dtype=np.intp)
@@ -178,8 +187,7 @@ def read_index_json(path) -> np.ndarray:
 
 def read_partition_json(path) -> list:
     """Read a JSON array of arrays of zero-based indices."""
-    with _open_text(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if (not isinstance(data, list)
             or not all(isinstance(b, list) for b in data)
             or not all(_is_index(i) for b in data for i in b)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .denoise import _detect_and_estimate, _solve_side
+from .denoise import _detect_and_estimate, _FactoredResult, _solve_side
 from .errors import DimensionMismatchError
 from .geometry import WeightOperator, _check_cosines, _recover_side, weighted_gram
 from .spiked import SpikeParams
@@ -97,23 +97,21 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
 
 
 @dataclass(frozen=True)
-class LocalizedResult:
-    """Reassembled localized denoiser output.
+class LocalizedResult(_FactoredResult):
+    """Reassembled localized denoiser output, kept as rank-``r`` factors.
 
-    ``tile_amse[i, j]`` is the estimated weighted error of the block pair
-    ``(i, j)``; ``amse_estimate`` is their sum, which estimates the total
-    unweighted squared error.
+    ``left @ right.T`` is the estimate, with ``left = A diag(t)`` and
+    ``right = B``.  ``tile_amse[i, j]`` is the estimated weighted error of
+    the block pair ``(i, j)``; ``amse_estimate`` is their sum, which
+    estimates the total unweighted squared error.
     """
 
-    estimate: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     amse_estimate: float
     spikes: SpikeParams
     tile_amse: np.ndarray
     clipped_components: tuple = field(default=())
-
-    @property
-    def rank(self) -> int:
-        return self.spikes.rank
 
 
 def _block_sides(vectors: np.ndarray, part: Partition, cos, sin):
@@ -162,5 +160,5 @@ def localized_denoise(Y, rows: Partition, cols: Partition,
     t = spikes.t
     tt = np.outer(t, t).ravel()
     tile_amse = np.maximum((Phi * tt) @ Psi.T - (P * tt) @ Q.T, 0.0)
-    return LocalizedResult((A * t) @ B.T, float(tile_amse.sum()), spikes, tile_amse,
+    return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
                            tuple(sorted(clip_rows | clip_cols)))

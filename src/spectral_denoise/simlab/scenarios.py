@@ -116,7 +116,8 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
 
         weighted = submatrix_denoise(Y, rows_idx, cols_idx)
         baseline = shrink_submatrix_baseline(Y, rows_idx, cols_idx)
-        whole = svs_shrink(Y).estimate[np.ix_(rows_idx, cols_idx)]
+        shr = svs_shrink(Y)
+        whole = shr.left[rows_idx] @ shr.right[cols_idx].T
         out.append({
             "f": float(f),
             "rel_err_weighted": relative_error(weighted.estimate, X0),

@@ -3,7 +3,8 @@ import pytest
 
 from spectral_denoise import (DegenerateEstimateError, NoiseCovariances,
                               SamplingPattern, backproject,
-                              estimate_noise_covariances, missing_data_denoise,
+                              estimate_noise_covariances, localized_denoise,
+                              make_equispaced_partition, missing_data_denoise,
                               shrink_submatrix_baseline, snr_gain_tau,
                               spectral_denoise, submatrix_denoise, svs_shrink,
                               whiten_denoise)
@@ -197,6 +198,16 @@ class TestSamplingPattern:
             SamplingPattern(np.array([0.0, 0.5]), np.array([0.5]),
                             np.ones((2, 1), dtype=bool), np.ones(2))
 
+    @pytest.mark.parametrize("field, q_row, q_col, values", [
+        ("q_row", [np.nan, 0.5], [0.5], [1.0, 1.0]),
+        ("q_col", [0.5, 0.5], [np.nan], [1.0, 1.0]),
+        ("values", [0.5, 0.5], [0.5], [1.0, np.inf]),
+    ], ids=["nan-q-row", "nan-q-col", "inf-value"])
+    def test_non_finite_inputs_rejected(self, field, q_row, q_col, values):
+        with pytest.raises(ValueError, match=field):
+            SamplingPattern(np.array(q_row), np.array(q_col),
+                            np.ones((2, 1), dtype=bool), np.array(values))
+
     def test_count_consistency(self):
         with pytest.raises(ValueError):
             SamplingPattern(np.array([0.5, 0.5]), np.array([0.5]),
@@ -300,3 +311,67 @@ class TestMissingData:
                 vals.append(top_svd(masked - target, 1)[1][0])
             means.append(np.mean(vals))
         assert means[1] < means[0]
+
+
+class TestFactoredEstimates:
+    """Each pipeline forms its estimate from the inner denoiser's factors
+    mapped through the loss weights; it must equal the dense back-mapping
+    of the inner estimate, ``spectral_denoise(...).estimate``."""
+
+    @staticmethod
+    def _instance(seed, p=90, n=130):
+        rng = np.random.default_rng(seed)
+        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(4.0, 2.5)), rng)
+        return rng, sig.X + rng.standard_normal((p, n)) / np.sqrt(n)
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_submatrix_equals_slice(self):
+        rng, Y = self._instance(40)
+        rows = np.sort(rng.choice(90, 35, replace=False))
+        cols = np.sort(rng.choice(130, 70, replace=False))
+        res = submatrix_denoise(Y, rows, cols)
+        assert res.denoise.rank == 2
+        self._assert_close(res.estimate, res.denoise.estimate[np.ix_(rows, cols)])
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_whiten_equals_dense_back_mapping(self, dense):
+        rng, Y = self._instance(41)
+        if dense:
+            A = rng.standard_normal((90, 90))
+            B = rng.standard_normal((130, 130))
+            S, T = A @ A.T / 90 + np.eye(90), B @ B.T / 130 + np.eye(130)
+            def root(M):
+                vals, vecs = np.linalg.eigh(M)
+                return (vecs * np.sqrt(vals)) @ vecs.T
+            S_half, T_half = root(S), root(T)
+        else:
+            S, T = rng.uniform(0.5, 2.0, 90), rng.uniform(0.5, 2.0, 130)
+            S_half, T_half = np.diag(np.sqrt(S)), np.diag(np.sqrt(T))
+        res = whiten_denoise(S_half @ Y @ T_half, NoiseCovariances(S, T))
+        assert res.denoise.rank == 2
+        self._assert_close(res.estimate, S_half @ res.denoise.estimate @ T_half)
+
+    def test_missing_data_equals_dense_rescale(self):
+        rng, Y = self._instance(42)
+        p, n = Y.shape
+        q_r, q_c = np.linspace(0.5, 0.9, p), np.linspace(0.5, 0.9, n)
+        mask = rng.random((p, n)) < np.outer(q_r, q_c)
+        res = missing_data_denoise(
+            SamplingPattern.from_dense(np.sqrt(n) * Y, mask, q_r, q_c))
+        assert res.denoise.rank >= 1
+        inv_r, inv_c = 1.0 / np.sqrt(q_r), 1.0 / np.sqrt(q_c)
+        want = np.sqrt(n) * (inv_r[:, None] * res.denoise.estimate * inv_c[None, :])
+        self._assert_close(res.estimate, want)
+
+    def test_rank_zero_factors(self):
+        _, Y = self._instance(43)
+        p, n = Y.shape
+        parts = (make_equispaced_partition(p, 3), make_equispaced_partition(n, 4))
+        for res in (svs_shrink(Y, rank=0), spectral_denoise(Y, rank=0),
+                    localized_denoise(Y, *parts, rank=0)):
+            assert res.left.shape == (p, 0) and res.right.shape == (n, 0)
+            assert res.estimate.shape == (p, n) and np.all(res.estimate == 0)

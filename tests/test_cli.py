@@ -231,14 +231,19 @@ class TestDenoiseCommands:
         ("submatrix", "--rows", [True, False]),
         ("localized", "--row-partition", [[10**23], list(range(120))]),
         ("submatrix", "--rows", [10**23]),
+        # Over Python's 4300-digit integer conversion limit; kept as text
+        # because json.dumps cannot write it either.
+        ("localized", "--row-partition", "[[" + "9" * 5000 + "]]"),
+        ("submatrix", "--rows", "[" + "9" * 5000 + "]"),
     ], ids=["overlapping-blocks", "uncovered-index", "boolean-partition",
             "boolean-indices", "partition-index-beyond-intp",
-            "index-beyond-intp"])
+            "index-beyond-intp", "partition-index-5000-digits",
+            "index-5000-digits"])
     def test_invalid_index_file_exits_2(self, tmp_path, spiked_csv, command,
                                         flag, content):
         path, Y, sig = spiked_csv
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(content))
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
         cols = tmp_path / "cols.json"
         cols.write_text(json.dumps([0, 1]))
         extra = ["--cols", str(cols)] if command == "submatrix" else []
@@ -368,6 +373,13 @@ class TestSimulateCommand:
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["simulate", "--config", str(cfg_path),
+                         "--output-dir", str(tmp_path / "o")]) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
+    def test_oversized_integer_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"replicates": ' + "9" * 5000 + "}")
         assert cli.main(["simulate", "--config", str(cfg_path),
                          "--output-dir", str(tmp_path / "o")]) == 2
         assert "cfg.json" in capsys.readouterr().err
