@@ -19,6 +19,9 @@ _DENSE_CUTOFF = 600
 #: largest computed singular value.
 _RESIDUAL_RTOL = 1e-8
 
+#: First number of triplets ``svd_head_above`` computes; it quadruples from there.
+_HEAD_K = 16
+
 
 def _dense(Y: np.ndarray, k: int):
     U, s, Vt = np.linalg.svd(Y, full_matrices=False)
@@ -63,7 +66,7 @@ def top_svd(Y: np.ndarray, k: int):
     return U, s, Vt.T, s
 
 
-def svd_head_above(Y: np.ndarray, threshold: float, k_hint: int = 16):
+def svd_head_above(Y: np.ndarray, threshold: float):
     """All singular triplets with value strictly above ``threshold``.
 
     Returns ``(U, s, V, spectrum)`` where the triplets cover exactly the
@@ -78,7 +81,7 @@ def svd_head_above(Y: np.ndarray, threshold: float, k_hint: int = 16):
         count = int(np.sum(spectrum > threshold))
         return U[:, :count], s[:count], V[:, :count], spectrum
 
-    k = min(max(int(k_hint), 2), mn)
+    k = min(_HEAD_K, mn)
     while True:
         U, s, V, spectrum = top_svd(Y, k)
         count = int(np.sum(spectrum > threshold))

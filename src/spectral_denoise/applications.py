@@ -49,10 +49,15 @@ def _index_set(indices, dim: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubmatrixResult:
-    """Denoised submatrix plus the full-matrix weighted denoiser behind it."""
+    """Denoised submatrix plus the denoiser behind it.
+
+    ``amse_estimate`` estimates the squared error of ``estimate``, in its
+    coordinates.
+    """
 
     estimate: np.ndarray
     denoise: DenoiseResult
+    amse_estimate: float
 
 
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
@@ -75,7 +80,8 @@ def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
     omega = WeightOperator.from_indices(rows, p)
     pi = WeightOperator.from_indices(cols, n)
     res = spectral_denoise(Y, omega, pi, rank=rank, margin=margin)
-    return SubmatrixResult(omega.apply(res.left) @ pi.apply(res.right).T, res)
+    return SubmatrixResult(omega.apply(res.left) @ pi.apply(res.right).T, res,
+                           res.amse_estimate)
 
 
 def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
@@ -85,7 +91,8 @@ def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
     The submatrix has ``n0`` of the ``n`` columns, so its noise variance
     per entry is ``1/n`` rather than ``1/n0``; it is rescaled by
     ``sqrt(n / n0)`` before shrinking and back after, using the exact
-    finite-sample ratio.
+    finite-sample ratio; the shrinkage error estimate is divided by
+    ``n / n0`` to match.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -96,7 +103,8 @@ def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
     scale = np.sqrt(n / cols.size)
     sub = Y[np.ix_(rows, cols)] * scale
     res = svs_shrink(sub, rank=rank, margin=margin)
-    return SubmatrixResult(res.estimate / scale, res)
+    return SubmatrixResult(res.estimate / scale, res,
+                           res.amse_estimate / (n / cols.size))
 
 
 class NoiseCovariances:
@@ -115,18 +123,24 @@ class NoiseCovariances:
 
     @staticmethod
     def _prepare(cov, side):
+        """One side as ``(vals, vecs)`` with ``cov = vecs diag(vals) vecs^T``.
+
+        A diagonal is stored as itself with ``vecs = None``.
+        """
         if cov.ndim == 1:
             if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
                 raise ValueError(f"{side} covariance diagonal must be positive and finite")
-            return {"diag": cov}
+            return cov, None
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"{side} covariance must be a vector or a square matrix")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError(f"{side} covariance must have finite entries")
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError(f"{side} covariance must be symmetric")
         vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
         if np.any(vals <= 0):
             raise ValueError(f"{side} covariance must be positive definite")
-        return {"vals": vals, "vecs": vecs}
+        return vals, vecs
 
     @property
     def p(self) -> int:
@@ -139,25 +153,19 @@ class NoiseCovariances:
     @property
     def normalized(self) -> bool:
         """Whether the column covariance satisfies ``tr(T)/n == 1``."""
-        return abs(self._trace(self._col) / self.n - 1.0) <= 1e-12
+        return abs(self.trace_stats()[2] - 1.0) <= 1e-12
 
     def normalize(self) -> "NoiseCovariances":
         """Rescale so ``tr(T)/n = 1``, moving the scale onto the row side."""
-        theta = self._trace(self._col) / self.n
+        theta = self.trace_stats()[2]
         return NoiseCovariances(self.row_cov * theta, self.col_cov / theta)
 
     @staticmethod
-    def _trace(side) -> float:
-        if "diag" in side:
-            return float(np.sum(side["diag"]))
-        return float(np.sum(side["vals"]))
-
-    @staticmethod
     def _power(side, exponent: float):
-        if "diag" in side:
-            return side["diag"] ** exponent
-        vals = side["vals"] ** exponent
-        return (side["vecs"] * vals) @ side["vecs"].T
+        vals, vecs = side
+        if vecs is None:
+            return vals ** exponent
+        return (vecs * vals ** exponent) @ vecs.T
 
     def whiten(self, Y: np.ndarray) -> np.ndarray:
         """``S**-0.5 @ Y @ T**-0.5``."""
@@ -178,16 +186,8 @@ class NoiseCovariances:
 
     def trace_stats(self):
         """Normalized traces ``(tr S/p, tr S^-1/p, tr T/n, tr T^-1/n)``."""
-        def pair(side, dim):
-            if "diag" in side:
-                d = side["diag"]
-                return float(np.mean(d)), float(np.mean(1.0 / d))
-            v = side["vals"]
-            return float(np.sum(v) / dim), float(np.sum(1.0 / v) / dim)
-
-        ts, tsi = pair(self._row, self.p)
-        tt, tti = pair(self._col, self.n)
-        return ts, tsi, tt, tti
+        return tuple(float(np.mean(v)) for vals, _ in (self._row, self._col)
+                     for v in (vals, 1.0 / vals))
 
 
 @dataclass(frozen=True)

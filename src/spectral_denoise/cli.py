@@ -79,16 +79,12 @@ def _weight_from_args(args, side: str, dim: int):
     return None
 
 
-def _config_echo(args, skip=("func",)) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and not k.startswith("_")}
-
-
 def _finish(args, command, estimate, result_for_report, extra=None) -> int:
     io.write_dense_csv(args.output, estimate)
     if args.report:
-        report = io.build_report(command, _config_echo(args), result_for_report,
-                                 extra=extra)
+        config = {k: v for k, v in vars(args).items()
+                  if k != "func" and not k.startswith("_")}
+        report = io.build_report(command, config, result_for_report, extra=extra)
         io.write_report_json(args.report, report)
     return EXIT_OK
 
@@ -135,14 +131,11 @@ def _cmd_submatrix(args) -> int:
     Y = io.read_dense_csv(args.input)
     rows = io.read_index_json(args.rows)
     cols = io.read_index_json(args.cols)
-    if args.baseline:
-        res = shrink_submatrix_baseline(Y, rows, cols, rank=args.rank,
-                                        margin=args.margin)
-        return _finish(args, "submatrix", res.estimate, res.denoise,
-                       extra={"baseline": True})
-    res = submatrix_denoise(Y, rows, cols, rank=args.rank, margin=args.margin)
+    run = shrink_submatrix_baseline if args.baseline else submatrix_denoise
+    res = run(Y, rows, cols, rank=args.rank, margin=args.margin)
     return _finish(args, "submatrix", res.estimate, res.denoise,
-                   extra={"baseline": False})
+                   extra={"baseline": args.baseline,
+                          "amse_estimate": res.amse_estimate})
 
 
 def _covariance_from_file(path) -> np.ndarray:
@@ -182,7 +175,8 @@ def _cmd_complete(args) -> int:
             matrix = matrix / args.noise_sd
         pattern = SamplingPattern.from_dense(matrix, mask, q_row, q_col)
     res = missing_data_denoise(pattern, rank=args.rank, margin=args.margin)
-    estimate = res.estimate * args.noise_sd
+    estimate = res.estimate
+    estimate *= args.noise_sd
     extra = {"observed_entries": int(pattern.mask.sum()),
              "amse_estimate": float(res.amse_estimate * args.noise_sd**2)}
     return _finish(args, "complete", estimate, res.denoise, extra=extra)

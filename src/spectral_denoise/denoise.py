@@ -38,12 +38,12 @@ __all__ = [
 PINV_RCOND = 1e-8
 
 
-def _sym_pinv(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def _sym_pinv(m: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric PSD matrix via eigendecomposition."""
     if m.size == 0:
         return m.copy()
     vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    cutoff = rcond * max(np.max(np.abs(vals)), np.finfo(float).tiny)
+    cutoff = PINV_RCOND * max(np.max(np.abs(vals)), np.finfo(float).tiny)
     inv = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     return (vecs * inv) @ vecs.T
 
@@ -148,6 +148,20 @@ def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     return Y, U[:, :spikes.rank], V[:, :spikes.rank], spikes
 
 
+def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:
+    """Weighted geometry induced by uniform weights.
+
+    ``U^T U = I`` for singular vectors, so these exact values are what the
+    plug-in formulas of :func:`recover_population_geometry` tend to.
+    """
+    r = spikes.rank
+    eye = np.eye(r)
+    ones = np.ones(r)
+    return WeightedGeometry(r, spikes.t.copy(), eye, eye.copy(), eye.copy(),
+                            eye.copy(), np.diag(spikes.c), np.diag(spikes.c_tilde),
+                            1.0, 1.0, ones, ones.copy())
+
+
 def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
     """Shared body of the weighted denoisers; ``solve`` gives (coefficients, raw AMSE)."""
     Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
@@ -159,8 +173,11 @@ def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
     if spikes.rank == 0:
         return DenoiseResult(np.zeros((0, 0)), U, V, 0.0, spikes, _empty_geometry(mu, nu))
 
-    geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
-                                       spikes, mu, nu)
+    if omega.kind == pi.kind == "identity":
+        geom = _identity_geometry(spikes)
+    else:
+        geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
+                                           spikes, mu, nu)
     coeff, raw = solve(geom, spikes)
     return DenoiseResult(coeff, U @ coeff, V, max(raw, 0.0), spikes, geom,
                          geom.clipped, raw < 0)
@@ -219,29 +236,15 @@ def diagonal_denoise(Y, omega=None, pi=None, rank: int | None = None,
     return _weighted_denoise(Y, omega, pi, rank, margin, _diagonal_solve)
 
 
-def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:
-    """Weighted geometry induced by uniform weights (exact limits)."""
-    r = spikes.rank
-    eye = np.eye(r)
-    ones = np.ones(r)
-    return WeightedGeometry(r, spikes.t.copy(), eye, eye.copy(), eye.copy(),
-                            eye.copy(), np.diag(spikes.c), np.diag(spikes.c_tilde),
-                            1.0, 1.0, ones, ones.copy())
-
-
 def svs_shrink(Y, rank: int | None = None, margin: float = 0.0) -> DenoiseResult:
     """Optimal singular value shrinkage for unweighted Frobenius loss.
 
     Keeps the detected components with singular values ``t c c~`` and an
-    error estimate ``sum(t**2 (1 - c**2 c~**2))``.  This is the uniform-
-    weight special case of :func:`spectral_denoise`, computed in closed
-    form.
+    error estimate ``sum(t**2 (1 - c**2 c~**2))``.  This is
+    :func:`spectral_denoise` with uniform weights, whose geometry has the
+    exact uniform-weight values (``alpha = beta = 1``).
     """
-    _, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    values = spikes.t * spikes.c * spikes.c_tilde
-    amse = float(np.sum(spikes.t**2 * (1.0 - spikes.c**2 * spikes.c_tilde**2)))
-    return DenoiseResult(np.diag(values), U * values, V, amse, spikes,
-                         _identity_geometry(spikes))
+    return spectral_denoise(Y, rank=rank, margin=margin)
 
 
 @dataclass(frozen=True)

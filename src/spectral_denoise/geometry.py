@@ -48,7 +48,6 @@ class WeightOperator:
         self.kind = kind
         self.data = data
         self.dim = int(dim)
-        self._op_norm = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -108,17 +107,6 @@ class WeightOperator:
         if self.kind == "indices":
             return float(self.data.size)
         return float(np.sum(self.data**2))
-
-    @property
-    def op_norm_bound(self) -> float:
-        if self._op_norm is None:
-            if self.kind in ("identity", "indices"):
-                self._op_norm = 1.0
-            elif self.kind == "diag":
-                self._op_norm = float(np.max(np.abs(self.data))) if self.data.size else 0.0
-            else:
-                self._op_norm = float(np.linalg.norm(self.data, 2))
-        return self._op_norm
 
     def __repr__(self):
         return f"WeightOperator(kind={self.kind!r}, dim={self.dim})"
@@ -224,11 +212,11 @@ def _empty_geometry(mu: float, nu: float) -> WeightedGeometry:
                             mu, nu, v.copy(), v.copy())
 
 
-def _recover_side(gram, cos, sin, mass, alpha_floor: float = ALPHA_FLOOR):
+def _recover_side(gram, cos, sin, mass):
     """One side of :func:`recover_population_geometry`: ``(alpha, E, C, clipped)``."""
     energy_raw = (np.diag(gram) - sin**2 * mass) / cos**2
-    clip = np.nonzero(energy_raw < alpha_floor)[0]
-    energy = np.maximum(energy_raw, alpha_floor)
+    clip = np.nonzero(energy_raw < ALPHA_FLOOR)[0]
+    energy = np.maximum(energy_raw, ALPHA_FLOOR)
     pop = gram / np.outer(cos, cos)
     np.fill_diagonal(pop, energy)
     cross = cos[:, None] * pop
@@ -245,8 +233,7 @@ def _check_cosines(spikes: SpikeParams) -> None:
 
 
 def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
-                                mu: float, nu: float,
-                                alpha_floor: float = ALPHA_FLOOR) -> WeightedGeometry:
+                                mu: float, nu: float) -> WeightedGeometry:
     """Invert the weighted-Gram limit formulas for the population geometry.
 
     Given the empirical weighted Grams ``D``/``D~`` of the top singular
@@ -257,7 +244,7 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
         C_jk    = e_jk c_j   with   e_kk = alpha_k
 
     and symmetrically on the right with ``beta``, ``nu``.  Energies that
-    fall below ``alpha_floor`` are clipped up to it and their component
+    fall below ``ALPHA_FLOOR`` are clipped up to it and their component
     indices recorded in ``clipped``.
     """
     D = np.asarray(gram_left, dtype=float)
@@ -274,8 +261,8 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
         return _empty_geometry(mu, nu)
 
     _check_cosines(spikes)
-    alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu, alpha_floor)
-    beta, Et, Ct, clip_r = _recover_side(Dt, spikes.c_tilde, spikes.s_tilde, nu, alpha_floor)
+    alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu)
+    beta, Et, Ct, clip_r = _recover_side(Dt, spikes.c_tilde, spikes.s_tilde, nu)
     clipped = tuple(sorted(set(clip_l.tolist()) | set(clip_r.tolist())))
 
     return WeightedGeometry(r, spikes.t.copy(), D, Dt, E, Et, C, Ct,

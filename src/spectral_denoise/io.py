@@ -5,11 +5,13 @@ a header, and skipped, when any of its cells does not parse as a float.
 Empty lines are skipped.  Cells go through numpy's float parser
 (``np.loadtxt``): decimal and exponent forms, ``nan`` and ``inf``,
 surrounding spaces and double-quoted cells are accepted, Python-only
-spellings such as ``1_000`` are not.  Numbers are written with shortest
-round-trip formatting (``repr``) and CRLF line endings, so a matrix that
-is written and re-read is bit-identical.  Coordinate CSV carries a
-``row,col,value`` header and zero-based integer indices.  A file that is
-malformed or not decodable text raises ``MatrixFileError``.
+spellings such as ``1_000`` are not (with a missing-value sentinel the
+cells go through Python's ``float``, which accepts them).  Numbers are
+written with shortest round-trip formatting (``repr``) and CRLF line
+endings, so a matrix that is written and re-read is bit-identical.
+Coordinate CSV carries a ``row,col,value`` header and zero-based integer
+indices.  A file that is malformed or not decodable text raises
+``MatrixFileError``.
 """
 
 from __future__ import annotations
@@ -99,23 +101,15 @@ def read_dense_csv(path, missing_sentinel: str | None = None):
         fh.seek(pos)
         if missing_sentinel is None:
             return _loadtxt(path, fh, ndmin=2)
-        body = [r for r in csv.reader(fh) if r]
-    width = len(body[0])
-    if any(len(r) != width for r in body):
-        raise MatrixFileError(f"{path}: ragged rows; dense CSV must be rectangular")
-
-    matrix = np.zeros((len(body), width))
-    mask = np.zeros((len(body), width), dtype=bool)
-    for i, r in enumerate(body):
-        for j, tok in enumerate(r):
-            if tok.strip() == missing_sentinel:
-                continue
-            try:
-                matrix[i, j] = float(tok)
-            except ValueError as exc:
-                raise MatrixFileError(f"{path}: non-numeric cell at "
-                                      f"({i},{j})") from exc
-            mask[i, j] = True
+        # Python ``str`` cells: a numpy ``str`` array stores every cell at the
+        # widest cell's size, and loadtxt warns on blank lines when filling one.
+        cells = _loadtxt(path, fh, dtype=object, ndmin=2)
+    mask = np.frompyfunc(str.strip, 1, 1)(cells) != missing_sentinel
+    matrix = np.zeros(cells.shape)
+    try:
+        matrix[mask] = cells[mask].astype(float)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}: non-numeric cell ({exc})") from exc
     return matrix, mask
 
 

@@ -86,13 +86,7 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
     num_blocks = int(num_blocks)
     if not 1 <= num_blocks <= dim:
         raise ValueError(f"num_blocks must be in [1, {dim}], got {num_blocks}")
-    base, extra = divmod(dim, num_blocks)
-    blocks = []
-    start = 0
-    for i in range(num_blocks):
-        size = base + (1 if i < extra else 0)
-        blocks.append(np.arange(start, start + size, dtype=np.intp))
-        start += size
+    blocks = np.array_split(np.arange(dim, dtype=np.intp), num_blocks)
     return Partition(dim, tuple(blocks))
 
 

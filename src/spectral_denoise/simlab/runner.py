@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..io import _read_json
 from .noise import derive_seed
 from .scenarios import SCENARIOS
 
@@ -38,8 +39,7 @@ def _package_version() -> str:
 def resolve_config(config) -> dict:
     """Validate a config (dict or JSON path) and fill in scenario defaults."""
     if isinstance(config, (str, Path)):
-        with open(config) as fh:
-            config = json.load(fh)
+        config = _read_json(config)
     if not isinstance(config, dict):
         raise ValueError("config must be a dict or a path to a JSON file")
     schema = config.get("schema", CONFIG_SCHEMA_VERSION)

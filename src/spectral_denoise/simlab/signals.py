@@ -51,7 +51,6 @@ class SignalSpec:
     n: int
     f: float = 0.7
     cells: int = 8
-    rank: int = 1
     t: tuple = ()
     energy_fraction: float = 0.5
     U: np.ndarray | None = field(default=None, repr=False)

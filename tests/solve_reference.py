@@ -3,10 +3,14 @@
 These are the expressions ``spectral_denoise.denoise`` used before the
 weighted solve was split into one factor per side.  Every call inverts
 both weighted Grams.  ``test_denoise.py`` requires the per-side versions
-to agree with them.
+to agree with them.  ``svs_shrink`` is the closed-form shrinkage that
+``denoise.svs_shrink`` computed before it became the uniform-weight
+``spectral_denoise``.
 """
 
 import numpy as np
+
+from spectral_denoise.denoise import _detect_and_estimate
 
 PINV_RCOND = 1e-8
 
@@ -38,3 +42,11 @@ def amse_raw(geom):
              - geom.cross_left.T @ left @ geom.cross_left @ t
              @ geom.cross_right.T @ right @ geom.cross_right)
     return float(np.sum(inner * t))
+
+
+def svs_shrink(Y, rank=None, margin=0.0):
+    """Closed-form shrinkage: ``(coefficients, left, right, amse)``."""
+    _, U, V, spikes = _detect_and_estimate(Y, rank, margin)
+    values = spikes.t * spikes.c * spikes.c_tilde
+    amse = float(np.sum(spikes.t**2 * (1.0 - spikes.c**2 * spikes.c_tilde**2)))
+    return np.diag(values), U * values, V, amse

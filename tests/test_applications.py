@@ -47,6 +47,23 @@ class TestSubmatrix:
         res = shrink_submatrix_baseline(Y, np.arange(150), np.arange(200))
         assert np.all(res.estimate == 0)
 
+    def test_baseline_error_estimate_is_in_output_coordinates(self):
+        # n/n0 = 4: the shrinkage figure on the rescaled submatrix is 4 times
+        # the error of the returned estimate, so it is divided back.
+        rng = np.random.default_rng(11)
+        p, n = 200, 800
+        rows, cols = np.arange(p), np.arange(n // 4)
+        ratios = []
+        for _ in range(12):
+            X, Y = _rank1_instance(rng, p, n, t=3.0)
+            res = shrink_submatrix_baseline(Y, rows, cols)
+            shr = svs_shrink(Y[:, cols] * 2.0)
+            assert res.estimate.tobytes() == (shr.estimate / 2.0).tobytes()
+            assert res.amse_estimate == shr.amse_estimate / 4.0
+            ratios.append(res.amse_estimate
+                          / weighted_loss(res.estimate, X[np.ix_(rows, cols)]))
+        assert 0.75 <= np.median(ratios) <= 1.35
+
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             submatrix_denoise(np.eye(5), [], [0])
@@ -98,6 +115,14 @@ class TestWhiten:
         m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(ValueError):
             NoiseCovariances(m, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_dense_covariance(self, bad):
+        m = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="row covariance must have finite entries"):
+            NoiseCovariances(m, np.ones(3))
+        with pytest.raises(ValueError, match="col covariance must have finite entries"):
+            NoiseCovariances(np.ones(3), m)
 
     def test_normalize_moves_scale(self):
         cov = NoiseCovariances(np.ones(10), np.full(20, 4.0))

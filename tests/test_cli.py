@@ -4,7 +4,7 @@ import csv_reference
 import numpy as np
 import pytest
 
-from spectral_denoise import cli, io
+from spectral_denoise import cli, io, shrink_submatrix_baseline
 from spectral_denoise.simlab import NoiseSpec, SignalSpec, gen_noise, gen_signal
 
 
@@ -71,9 +71,10 @@ class TestIoFormats:
         (b"7.25", None),
         (b"a,b,c\n\n1.0,,2.0\r\n,3.0,\n", ""),
         (b"1,NA\nNA,2\n", "NA"),
+        (b'1_000, NA \n"NA",-2e-3\n\n', "NA"),
     ], ids=["header", "quoted-header", "blank-lines", "crlf", "quoted-cells",
             "spaces", "single-row", "single-column", "single-cell",
-            "sentinel-header-crlf", "sentinel-word"])
+            "sentinel-header-crlf", "sentinel-word", "sentinel-python-float"])
     def test_dense_reader_matches_reference(self, tmp_path, text, sentinel):
         path = tmp_path / "m.csv"
         path.write_bytes(text)
@@ -119,6 +120,14 @@ class TestIoFormats:
         with pytest.raises(io.MatrixFileError):
             io.read_dense_csv(path)
 
+    @pytest.mark.parametrize("text", [b"1,NA\n2\n", b"1,NA\nx,2\n", b"1,NA\n,2\n"],
+                             ids=["ragged", "non-numeric", "empty-cell"])
+    def test_dense_sentinel_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(io.MatrixFileError):
+            io.read_dense_csv(path, missing_sentinel="NA")
+
     @pytest.mark.parametrize("text", [
         b" Row , COL ,value \n0,1,2.5\n3,4,-1e-3\n",
         b"\nrow,col,value\r\n\r\n0,1,2.5\r\n\r\n2,0,3\r\n",
@@ -157,8 +166,7 @@ class TestDenoiseCommands:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["denoise", "--input", str(path), "--output", str(out1)]) == 0
         assert cli.main(["shrink", "--input", str(path), "--output", str(out2)]) == 0
-        A, B = io.read_dense_csv(out1), io.read_dense_csv(out2)
-        assert np.linalg.norm(A - B) <= 1e-8 * np.linalg.norm(B)
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_report_schema(self, tmp_path, spiked_csv):
         path, Y, sig = spiked_csv
@@ -288,6 +296,23 @@ class TestSubmatrixCommand:
                          "--cols", str(cols), "--baseline",
                          "--output", str(out)]) == 0
         assert io.read_dense_csv(out).shape == (50, 70)
+
+    def test_baseline_reports_error_of_written_matrix(self, tmp_path, spiked_csv):
+        path, Y, sig = spiked_csv
+        rows = tmp_path / "rows.json"
+        cols = tmp_path / "cols.json"
+        rows.write_text(json.dumps(list(range(120))))
+        cols.write_text(json.dumps(list(range(45))))
+        out, report = tmp_path / "x.csv", tmp_path / "r.json"
+        assert cli.main(["submatrix", "--input", str(path), "--rows", str(rows),
+                         "--cols", str(cols), "--baseline", "--output", str(out),
+                         "--report", str(report)]) == 0
+        base = shrink_submatrix_baseline(Y, np.arange(120), np.arange(45))
+        data = json.loads(report.read_text())
+        assert data["baseline"] is True
+        assert data["amse_estimate"] == base.amse_estimate
+        assert data["amse_estimate"] == base.denoise.amse_estimate / 4.0
+        assert np.array_equal(io.read_dense_csv(out), base.estimate)
 
 
 class TestWhitenCommand:

@@ -170,10 +170,14 @@ class TestSpectralDenoise:
             V, _ = np.linalg.qr(rng.standard_normal((n, r)))
             t = np.sort(rng.uniform(2.0, 6.0, r))[::-1]
             Y = (U * t) @ V.T + rng.standard_normal((p, n)) / np.sqrt(n)
-            a = spectral_denoise(Y).estimate
-            b = svs_shrink(Y).estimate
+            _, left, right, _ = solve_reference.svs_shrink(Y)
+            b = left @ right.T
             ref = max(np.linalg.norm(b), 1e-30)
-            assert np.linalg.norm(a - b) <= 1e-8 * ref
+            # ``None`` takes the exact uniform geometry, unit diagonals the
+            # general plug-in recovery.
+            for omega, pi in ((None, None), (np.ones(p), np.ones(n))):
+                a = spectral_denoise(Y, omega, pi).estimate
+                assert np.linalg.norm(a - b) <= 1e-8 * ref
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(9)
@@ -267,6 +271,27 @@ class TestDiagonalDenoise:
 
 
 class TestSvsShrink:
+    def test_matches_closed_form_reference(self):
+        rng = np.random.default_rng(17)
+        for k in range(30):
+            p, n = (int(m) for m in rng.integers(30, 200, 2))
+            r = int(rng.integers(0, 4))
+            U, _ = np.linalg.qr(rng.standard_normal((p, 3)))
+            V, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+            t = np.sort(rng.uniform(1.5, 6.0, r))[::-1]
+            Y = (U[:, :r] * t) @ V[:, :r].T + rng.standard_normal((p, n)) / np.sqrt(n)
+            rank = r if k % 3 == 0 and r and t[-1] > 2.0 else None
+            res = svs_shrink(Y, rank=rank)
+            coeff, left, right, amse = solve_reference.svs_shrink(Y, rank=rank)
+            assert res.coefficients.tobytes() == coeff.tobytes()
+            assert res.left.tobytes() == left.tobytes()
+            assert res.right.tobytes() == right.tobytes()
+            assert res.estimate.tobytes() == (left @ right.T).tobytes()
+            assert abs(res.amse_estimate - amse) <= 1e-14 * amse
+            assert np.all(res.geometry.alpha == 1.0) and np.all(res.geometry.beta == 1.0)
+            assert res.geometry.mu == res.geometry.nu == 1.0
+            assert res.clipped_components == () and not res.amse_clamped
+
     def test_no_signal(self):
         rng = np.random.default_rng(1)
         Y = rng.standard_normal((100, 100)) / 10.0

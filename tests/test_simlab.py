@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spectral_denoise.errors import UndefinedMetricError
+from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
                                      gen_noise, gen_signal, make_rng,
                                      relative_error, resolve_config,
@@ -191,6 +192,17 @@ class TestRunner:
     def test_bad_schema_rejected(self):
         with pytest.raises(ValueError):
             resolve_config({"schema": 99, "scenario": "submatrix"})
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\x00",
+                                         b'{"seed": ' + b"9" * 5000 + b"}"],
+                             ids=["undecodable", "oversized-integer"])
+    def test_unreadable_config_file_names_path(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(MatrixFileError, match="config.json"):
+            resolve_config(path)
+        with pytest.raises(MatrixFileError, match="config.json"):
+            run_experiment(str(path))
 
     def test_deterministic_rows(self):
         a = run_experiment(self.CONFIG)
