@@ -1,26 +1,26 @@
-"""Deterministic top-k SVD with a partial-solver fast path.
+"""Exact head SVD from the short-side Gram matrix.
 
-Only the leading singular triplets are ever needed.  Small matrices go
-through LAPACK directly; larger ones use an iterative partial SVD with a
-fixed starting vector so results are deterministic for a fixed input.
-Partial results are verified with a residual check and recomputed with
-the dense path if the check fails.
+With ``A`` the shorter of ``Y`` and ``Y.T``, the squared singular values
+are the eigenvalues of ``A A^T``.  LAPACK ``dsyevr`` computes just those
+in a value or index range; it counts the eigenvalues above ``tau**2`` by
+bisection, so the head count is exact.  The other side is ``A^T Q / s``.
+
+Squaring puts an absolute error of about ``eps * min(p, n) * s_1**2`` on
+each eigenvalue.  When that is not far below the smallest square relied
+on (``tau**2``, or ``s_k**2`` for a forced rank), or ``s_k == 0``, the
+full LAPACK SVD runs instead and ``spectrum`` is the whole spectrum.
+``Y`` is made C-contiguous first, so its memory layout does not change
+the result's bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import svds
+from scipy.linalg import eigh
 
-#: Below this min-dimension a full LAPACK SVD is cheap enough to always use.
-_DENSE_CUTOFF = 600
-
-#: Residual tolerance for accepting an iterative triplet, relative to the
-#: largest computed singular value.
-_RESIDUAL_RTOL = 1e-8
-
-#: First number of triplets ``svd_head_above`` computes; it quadruples from there.
-_HEAD_K = 16
+#: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
+#: to the smallest square it must resolve.
+_GRAM_RTOL = 1e-8
 
 
 def _dense(Y: np.ndarray, k: int):
@@ -28,18 +28,36 @@ def _dense(Y: np.ndarray, k: int):
     return U[:, :k], s[:k], Vt[:k].T, s
 
 
-def _start_vector(m: int) -> np.ndarray:
-    # Fixed, structure-free starting vector keeps ARPACK runs reproducible.
-    v = np.linspace(1.0, 2.0, m)
-    return v / np.linalg.norm(v)
+def _gram_head(Y: np.ndarray, floor: float | None, **subset):
+    """Descending ``(U, s, V, s)`` for the Gram eigenvalues in ``subset``.
+
+    None when they are unresolved: the smallest is 0, or the squaring
+    error is not far below ``floor**2`` (``floor`` defaults to the
+    smallest value found).
+    """
+    p, n = Y.shape
+    wide = p <= n
+    Y = np.ascontiguousarray(Y)
+    A = Y if wide else Y.T
+    # The Gram is symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK works on in place.
+    w, Q = eigh((A @ A.T).T, driver="evr", overwrite_a=True, check_finite=False, **subset)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    if s.size:
+        floor = s[-1] if floor is None else floor
+        if s[-1] == 0 or np.finfo(float).eps * A.shape[0] * s[0]**2 > _GRAM_RTOL * floor**2:
+            return None
+    Q = np.ascontiguousarray(Q[:, ::-1])
+    P = (A.T @ Q) / s
+    return (Q, s, P, s) if wide else (P, s, Q, s)
 
 
 def top_svd(Y: np.ndarray, k: int):
     """Exact top-``k`` singular triplets of ``Y``, descending.
 
-    Returns ``(U, s, V, spectrum)`` where ``spectrum`` is either the full
-    singular value vector (dense path) or just the computed head (partial
-    path); in both cases ``spectrum[:k] == s``.
+    Returns ``(U, s, V, spectrum)`` where ``spectrum`` is either just the
+    computed head (Gram path) or the full singular value vector (dense
+    fallback); in both cases ``spectrum[:k] == s``.
     """
     p, n = Y.shape
     mn = min(p, n)
@@ -48,45 +66,21 @@ def top_svd(Y: np.ndarray, k: int):
         raise ValueError("k must be nonnegative")
     if k == 0:
         return np.zeros((p, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros(0)
-
-    if mn <= _DENSE_CUTOFF or k >= mn // 4 or k >= mn - 1:
-        return _dense(Y, k)
-
-    v0 = _start_vector(mn)
-    try:
-        U, s, Vt = svds(Y, k=k, v0=v0)
-    except Exception:
-        return _dense(Y, k)
-    order = np.argsort(s)[::-1]
-    U, s, Vt = U[:, order], s[order], Vt[order]
-    # svds residuals: || Y v - s u || per triplet.
-    resid = np.linalg.norm(Y @ Vt.T - U * s, axis=0)
-    if s.size and np.any(resid > _RESIDUAL_RTOL * max(s[0], 1.0)):
-        return _dense(Y, k)
-    return U, s, Vt.T, s
+    head = _gram_head(Y, None, subset_by_index=[mn - k, mn - 1])
+    return _dense(Y, k) if head is None else head
 
 
 def svd_head_above(Y: np.ndarray, threshold: float):
     """All singular triplets with value strictly above ``threshold``.
 
-    Returns ``(U, s, V, spectrum)`` where the triplets cover exactly the
-    values above ``threshold`` and ``spectrum`` extends far enough past
-    them to certify that everything omitted is at or below it (the whole
-    spectrum on the dense path).
+    Returns ``(U, s, V, spectrum)``; ``spectrum`` is ``s`` (Gram path) or
+    the whole spectrum (dense fallback).
     """
-    p, n = Y.shape
-    mn = min(p, n)
-    if mn <= _DENSE_CUTOFF:
-        U, s, V, spectrum = _dense(Y, mn)
-        count = int(np.sum(spectrum > threshold))
-        return U[:, :count], s[:count], V[:, :count], spectrum
-
-    k = min(_HEAD_K, mn)
-    while True:
-        U, s, V, spectrum = top_svd(Y, k)
-        count = int(np.sum(spectrum > threshold))
-        if count < spectrum.size or spectrum.size >= mn:
-            if count > U.shape[1]:
-                U, s, V, spectrum = top_svd(Y, count)
-            return U[:, :count], s[:count], V[:, :count], spectrum
-        k = min(mn, k * 4)
+    threshold = float(threshold)
+    if not threshold >= 0:
+        raise ValueError("threshold must be nonnegative")
+    head = _gram_head(Y, threshold, subset_by_value=(threshold**2, np.inf))
+    U, s, V, spectrum = _dense(Y, min(Y.shape)) if head is None else head
+    # dsyevr may also return an eigenvalue that rounds onto the boundary.
+    count = int(np.sum(s > threshold))
+    return U[:, :count], s[:count], V[:, :count], spectrum if head is None else s[:count]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DenoiseResult, spectral_denoise, svs_shrink
+from .denoise import DenoiseResult, _as_matrix, spectral_denoise, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import WeightOperator
 
@@ -71,9 +71,7 @@ def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
     shrinkage on the submatrix alone when its share of the signal energy
     is not too large.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-D matrix")
+    Y = _as_matrix(Y)
     p, n = Y.shape
     rows = _index_set(row_idx, p, "row_idx")
     cols = _index_set(col_idx, n, "col_idx")
@@ -94,9 +92,7 @@ def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
     finite-sample ratio; the shrinkage error estimate is divided by
     ``n / n0`` to match.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-D matrix")
+    Y = _as_matrix(Y)
     p, n = Y.shape
     rows = _index_set(row_idx, p, "row_idx")
     cols = _index_set(col_idx, n, "col_idx")
@@ -234,9 +230,7 @@ def estimate_noise_covariances(Y) -> NoiseCovariances:
     column sums of squares divided by ``(1/n) sum_i a_i``, which makes
     ``tr(T_hat)/n = 1`` hold exactly.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-D matrix")
+    Y = _as_matrix(Y)
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must have finite entries")
     sq = Y**2

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._svd import svd_head_above, top_svd
+from .errors import DegenerateEstimateError
 from .geometry import (WeightedGeometry, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
                        _empty_geometry)
@@ -125,11 +126,19 @@ def amse_estimate(geom: WeightedGeometry) -> float:
     return max(_amse_raw(geom), 0.0)
 
 
-def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
-    """Shared head: top SVD, rank detection, spike parameter recovery."""
+def _as_matrix(Y) -> np.ndarray:
+    """``Y`` as a float array, checked to be a non-empty matrix."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D matrix")
+    if Y.size == 0:
+        raise DegenerateEstimateError(f"Y is empty (shape {Y.shape[0]}x{Y.shape[1]})")
+    return Y
+
+
+def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
+    """Shared head: top SVD, rank detection, spike parameter recovery."""
+    Y = _as_matrix(Y)
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must have finite entries")
     p, n = Y.shape

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .denoise import _detect_and_estimate, _FactoredResult, _solve_side
+from .denoise import _as_matrix, _detect_and_estimate, _FactoredResult, _solve_side
 from .errors import DimensionMismatchError
 from .geometry import WeightOperator, _check_cosines, _recover_side, weighted_gram
 from .spiked import SpikeParams
@@ -138,9 +138,7 @@ def localized_denoise(Y, rows: Partition, cols: Partition,
     corresponding tile of that pair's spectral denoiser, and the error
     estimates add across tiles.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-D matrix")
+    Y = _as_matrix(Y)
     p, n = Y.shape
     if rows.dim != p:
         raise DimensionMismatchError(f"row partition covers {rows.dim} rows, Y has {p}")

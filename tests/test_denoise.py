@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from spectral_denoise import (WeightOperator, check_shrinkage_properties,
+from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
+                              WeightOperator, check_shrinkage_properties,
                               cosines, diagonal_denoise, forward_singular_value,
-                              optimal_coefficients, spectral_denoise, svs_shrink,
-                              trace_weight, weighted_gram)
+                              optimal_coefficients, spectral_denoise, submatrix_denoise,
+                              svs_shrink, trace_weight, weighted_gram)
 from spectral_denoise.denoise import _amse_raw, amse_estimate
 from spectral_denoise.geometry import WeightedGeometry, recover_population_geometry
 from spectral_denoise.simlab import two_block_vectors, weighted_loss
@@ -152,6 +155,23 @@ class TestAmseEstimate:
 
 
 class TestSpectralDenoise:
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
+    def test_empty_input_is_rejected(self, shape):
+        Y = np.zeros(shape)
+        for run in (svs_shrink, spectral_denoise,
+                    lambda Y: submatrix_denoise(Y, [0], [0])):
+            with pytest.raises(DegenerateEstimateError, match=f"{shape[0]}x{shape[1]}"):
+                run(Y)
+
+    def test_forced_rank_without_signal_raises(self):
+        rng = np.random.default_rng(9)
+        rank_one = np.outer(rng.standard_normal(20), rng.standard_normal(40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for Y, rank in ((np.zeros((20, 40)), 1), (rank_one, 3), (rank_one.T, 3)):
+                with pytest.raises(BelowDetectionThresholdError):
+                    spectral_denoise(Y, rank=rank)
+
     def test_pure_noise_returns_zero(self):
         rng = np.random.default_rng(0)
         Y = rng.standard_normal((80, 120)) / np.sqrt(120)
