@@ -7,15 +7,14 @@ try:
 except PackageNotFoundError:  # running from a source tree
     __version__ = "0.1.0"
 
-from .applications import (MissingDataResult, NoiseCovariances, SamplingPattern,
-                           SubmatrixResult, WhitenResult, backproject,
+from .applications import (NoiseCovariances, PipelineResult, SamplingPattern, backproject,
                            estimate_noise_covariances, estimate_sampling_probabilities,
                            missing_data_denoise,
                            shrink_submatrix_baseline, snr_gain_tau,
                            submatrix_denoise, whiten_denoise)
-from .denoise import (DenoiseResult, ShrinkageReport, amse_estimate,
+from .denoise import (DenoiseResult, ShrinkageReport, SpectralFit, amse_estimate,
                       check_shrinkage_properties, diagonal_denoise,
-                      optimal_coefficients, spectral_denoise, svs_shrink)
+                      optimal_coefficients, spectral_denoise, spectral_fit, svs_shrink)
 from .errors import (BelowDetectionThresholdError, DegenerateEstimateError,
                      DimensionMismatchError, IllConditionedRecoveryError,
                      SpectralDenoiseError, UndefinedMetricError)
@@ -37,13 +36,12 @@ __all__ = [
     "invert_singular_value", "naive_rank",
     "WeightOperator", "WeightedGeometry", "as_weight_operator",
     "recover_population_geometry", "trace_weight", "weighted_gram",
-    "DenoiseResult", "ShrinkageReport", "amse_estimate",
+    "DenoiseResult", "ShrinkageReport", "SpectralFit", "amse_estimate",
     "check_shrinkage_properties", "diagonal_denoise", "optimal_coefficients",
-    "spectral_denoise", "svs_shrink",
+    "spectral_denoise", "spectral_fit", "svs_shrink",
     "LocalizedResult", "Partition", "localized_denoise",
     "make_equispaced_partition",
-    "MissingDataResult", "NoiseCovariances", "SamplingPattern",
-    "SubmatrixResult", "WhitenResult", "backproject",
+    "NoiseCovariances", "PipelineResult", "SamplingPattern", "backproject",
     "estimate_noise_covariances", "estimate_sampling_probabilities",
     "missing_data_denoise",
     "shrink_submatrix_baseline", "snr_gain_tau", "submatrix_denoise",

@@ -4,8 +4,10 @@ Three problems reduce to weighted-loss denoising even though their end
 goal is unweighted estimation: recovering a submatrix of a larger noisy
 matrix, denoising under doubly-heteroscedastic noise by whitening, and
 completing a partially observed matrix through backprojection.  Each
-pipeline wraps :func:`spectral_denoise` with the appropriate weights and
-coordinate changes.
+pipeline runs one weighted spectral denoiser, on ``Y`` itself or on a
+rescaled copy, and maps the resulting factors back through its weights
+into a :class:`PipelineResult`; the dense estimate is formed only when
+it is read.
 """
 
 from __future__ import annotations
@@ -14,23 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoise import DenoiseResult, _as_matrix, spectral_denoise, svs_shrink
+from .denoise import (DenoiseResult, _as_matrix, _FactoredResult, spectral_denoise,
+                      spectral_fit, svs_shrink)
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import WeightOperator
 
 __all__ = [
-    "SubmatrixResult",
+    "PipelineResult",
     "submatrix_denoise",
     "shrink_submatrix_baseline",
     "NoiseCovariances",
-    "WhitenResult",
     "whiten_denoise",
     "estimate_noise_covariances",
     "snr_gain_tau",
     "SamplingPattern",
     "backproject",
     "estimate_sampling_probabilities",
-    "MissingDataResult",
     "missing_data_denoise",
 ]
 
@@ -38,30 +39,22 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 
 
-def _index_set(indices, dim: int, what: str) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1 or idx.size == 0:
-        raise ValueError(f"{what} must be a nonempty 1-D index set")
-    if np.any(idx < 0) or np.any(idx >= dim):
-        raise ValueError(f"{what} indices must lie in [0, {dim})")
-    return np.unique(idx)
-
-
 @dataclass(frozen=True)
-class SubmatrixResult:
-    """Denoised submatrix plus the denoiser behind it.
+class PipelineResult(_FactoredResult):
+    """Pipeline output, kept as factors mapped into the output coordinates.
 
-    ``amse_estimate`` estimates the squared error of ``estimate``, in its
-    coordinates.
+    ``denoise`` is the inner result; ``amse_estimate`` estimates the error
+    of ``estimate = left @ right.T``, formed on each access.
     """
 
-    estimate: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     denoise: DenoiseResult
     amse_estimate: float
 
 
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
-                      margin: float = 0.0) -> SubmatrixResult:
+                      margin: float = 0.0) -> PipelineResult:
     """Estimate a submatrix of the signal using the whole observed matrix.
 
     Runs the optimal spectral denoiser with coordinate-selection weights
@@ -71,19 +64,11 @@ def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
     shrinkage on the submatrix alone when its share of the signal energy
     is not too large.
     """
-    Y = _as_matrix(Y)
-    p, n = Y.shape
-    rows = _index_set(row_idx, p, "row_idx")
-    cols = _index_set(col_idx, n, "col_idx")
-    omega = WeightOperator.from_indices(rows, p)
-    pi = WeightOperator.from_indices(cols, n)
-    res = spectral_denoise(Y, omega, pi, rank=rank, margin=margin)
-    return SubmatrixResult(omega.apply(res.left) @ pi.apply(res.right).T, res,
-                           res.amse_estimate)
+    return spectral_fit(Y, rank, margin).submatrix(row_idx, col_idx)
 
 
 def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
-                              margin: float = 0.0) -> SubmatrixResult:
+                              margin: float = 0.0) -> PipelineResult:
     """Singular value shrinkage applied to the submatrix alone.
 
     The submatrix has ``n0`` of the ``n`` columns, so its noise variance
@@ -94,13 +79,13 @@ def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
     """
     Y = _as_matrix(Y)
     p, n = Y.shape
-    rows = _index_set(row_idx, p, "row_idx")
-    cols = _index_set(col_idx, n, "col_idx")
+    rows = WeightOperator.from_indices(row_idx, p).data
+    cols = WeightOperator.from_indices(col_idx, n).data
     scale = np.sqrt(n / cols.size)
     sub = Y[np.ix_(rows, cols)] * scale
     res = svs_shrink(sub, rank=rank, margin=margin)
-    return SubmatrixResult(res.estimate / scale, res,
-                           res.amse_estimate / (n / cols.size))
+    return PipelineResult(res.left / scale, res.right, res,
+                          res.amse_estimate / (n / cols.size))
 
 
 class NoiseCovariances:
@@ -123,6 +108,8 @@ class NoiseCovariances:
 
         A diagonal is stored as itself with ``vecs = None``.
         """
+        if cov.size == 0:
+            raise ValueError(f"{side} covariance is empty")
         if cov.ndim == 1:
             if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
                 raise ValueError(f"{side} covariance diagonal must be positive and finite")
@@ -186,39 +173,24 @@ class NoiseCovariances:
                      for v in (vals, 1.0 / vals))
 
 
-@dataclass(frozen=True)
-class WhitenResult:
-    """Denoised matrix in original coordinates plus the whitened-domain result.
-
-    ``estimate`` is ``(S**0.5 left)(T**0.5 right)^T`` of the inner
-    factors.  The inner weighted error estimate equals the estimate of the
-    final unweighted error, since mapping back to the original coordinates
-    turns the weighted loss into the plain Frobenius loss.
-    """
-
-    estimate: np.ndarray
-    denoise: DenoiseResult
-
-    @property
-    def amse_estimate(self) -> float:
-        return self.denoise.amse_estimate
-
-
 def whiten_denoise(Y, cov: NoiseCovariances, rank: int | None = None,
-                   margin: float = 0.0) -> WhitenResult:
+                   margin: float = 0.0) -> PipelineResult:
     """Whiten, denoise under the matching weighted loss, map back.
 
     The whitened matrix ``S**-0.5 Y T**-0.5`` has iid variance-``1/n``
     noise; estimating the original signal in unweighted loss is the same
     as estimating the whitened signal under weights ``S**0.5``/``T**0.5``,
     which is the weighted problem solved here.  With identity covariances
-    the pipeline reduces to plain singular value shrinkage.
+    the pipeline reduces to plain singular value shrinkage.  The factors
+    are ``S**0.5 left``, ``T**0.5 right``; the inner weighted error
+    estimate is that of the output, as mapping back unweights the loss.
     """
     Y = np.asarray(Y, dtype=float)
     whitened = cov.whiten(Y)
     omega, pi = cov.sqrt_weights()
     res = spectral_denoise(whitened, omega, pi, rank=rank, margin=margin)
-    return WhitenResult(omega.apply(res.left) @ pi.apply(res.right).T, res)
+    return PipelineResult(omega.apply(res.left), pi.apply(res.right), res,
+                          res.amse_estimate)
 
 
 def estimate_noise_covariances(Y) -> NoiseCovariances:
@@ -354,22 +326,8 @@ def estimate_sampling_probabilities(mask):
     return (np.clip(row, floor, 1.0), np.clip(col, floor, 1.0))
 
 
-@dataclass(frozen=True)
-class MissingDataResult:
-    """Completed-and-denoised matrix plus the inner weighted denoiser.
-
-    ``estimate`` is ``sqrt(n) (P**-0.5 left)(Q**-0.5 right)^T`` of the
-    inner factors; ``amse_estimate`` is in its coordinates, the inner
-    figure (on a ``1/sqrt(n)``-rescaled matrix) scaled up by ``n``.
-    """
-
-    estimate: np.ndarray
-    denoise: DenoiseResult
-    amse_estimate: float
-
-
 def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
-                         margin: float = 0.0) -> MissingDataResult:
+                         margin: float = 0.0) -> PipelineResult:
     """Denoise a partially observed matrix via scaled backprojection.
 
     Observed entries are assumed to follow signal plus unit-variance
@@ -378,7 +336,8 @@ def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
     ``1/sqrt(n)`` to match the variance-``1/n`` convention of the
     spectral denoiser.  The weighted loss with weights ``P**-0.5`` /
     ``Q**-0.5`` in that domain equals the unweighted loss on the original
-    signal, and the final estimate is mapped back exactly.
+    signal.  The factors are ``sqrt(n) P**-0.5 left``, ``Q**-0.5 right``,
+    and the inner error estimate is scaled up by ``n`` to match.
     """
     inv_r = 1.0 / np.sqrt(pattern.q_row)
     inv_c = 1.0 / np.sqrt(pattern.q_col)
@@ -389,5 +348,5 @@ def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
     scaled /= np.sqrt(n)
     omega, pi = WeightOperator.from_diagonal(inv_r), WeightOperator.from_diagonal(inv_c)
     res = spectral_denoise(scaled, omega, pi, rank=rank, margin=margin)
-    estimate = (np.sqrt(n) * omega.apply(res.left)) @ pi.apply(res.right).T
-    return MissingDataResult(estimate, res, n * res.amse_estimate)
+    return PipelineResult(np.sqrt(n) * omega.apply(res.left), pi.apply(res.right), res,
+                          n * res.amse_estimate)

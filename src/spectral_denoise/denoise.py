@@ -5,7 +5,8 @@ observed matrix and replaces the singular values by an ``r x r``
 coefficient matrix.  For a weighted loss the optimal coefficients solve
 a small least-squares problem parameterized by the weighted geometry of
 the singular vectors; with uniform weights this collapses to classical
-singular value shrinkage.
+singular value shrinkage.  Only that solve depends on the loss; the SVD,
+rank and spikes form one :class:`SpectralFit` shared by every denoiser.
 """
 
 from __future__ import annotations
@@ -15,14 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._svd import svd_head_above, top_svd
-from .errors import DegenerateEstimateError
-from .geometry import (WeightedGeometry, as_weight_operator,
+from .errors import DegenerateEstimateError, DimensionMismatchError
+from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
-                       _empty_geometry)
+                       _check_cosines, _empty_geometry)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point,
-                     estimate_spike_params, forward_singular_value, naive_rank)
+                     estimate_spike_params, forward_singular_value)
 
 __all__ = [
+    "SpectralFit",
+    "spectral_fit",
     "DenoiseResult",
     "optimal_coefficients",
     "amse_estimate",
@@ -59,7 +62,7 @@ class _FactoredResult:
 
     @property
     def rank(self) -> int:
-        return self.spikes.rank
+        return self.left.shape[1]
 
 
 @dataclass(frozen=True)
@@ -138,23 +141,22 @@ def _as_matrix(Y) -> np.ndarray:
 
 def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     """Shared head: top SVD, rank detection, spike parameter recovery."""
+    margin = float(margin)
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     Y = _as_matrix(Y)
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must have finite entries")
     p, n = Y.shape
     gamma = p / n
     if rank is None:
-        threshold = bulk_edge(gamma) + float(margin)
-        U, s, V, spectrum = svd_head_above(Y, threshold)
-        r = naive_rank(spectrum, gamma, margin=margin)
-        spikes = estimate_spike_params(spectrum, gamma, rank=r)
+        U, s, V, _ = svd_head_above(Y, bulk_edge(gamma) + margin)
     else:
         r = int(rank)
         if r < 0 or r > min(p, n):
             raise ValueError(f"rank must be between 0 and {min(p, n)}")
-        U, s, V, spectrum = top_svd(Y, r)
-        spikes = estimate_spike_params(s, gamma, rank=r)
-    return Y, U[:, :spikes.rank], V[:, :spikes.rank], spikes
+        U, s, V, _ = top_svd(Y, r)
+    return Y, U, V, estimate_spike_params(s, gamma, rank=s.size)
 
 
 def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:
@@ -171,25 +173,93 @@ def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:
                             1.0, 1.0, ones, ones.copy())
 
 
-def _weighted_denoise(Y, omega, pi, rank, margin, solve) -> DenoiseResult:
-    """Shared body of the weighted denoisers; ``solve`` gives (coefficients, raw AMSE)."""
-    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    p, n = Y.shape
-    omega = as_weight_operator(omega, p)
-    pi = as_weight_operator(pi, n)
-    mu = trace_weight(omega, p)
-    nu = trace_weight(pi, n)
-    if spikes.rank == 0:
-        return DenoiseResult(np.zeros((0, 0)), U, V, 0.0, spikes, _empty_geometry(mu, nu))
+def _diagonal_solve(geom: WeightedGeometry, spikes: SpikeParams):
+    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
+    eta_left = geom.alpha / (c**2 * geom.alpha + s**2 * geom.mu)
+    eta_right = geom.beta / (ct**2 * geom.beta + st**2 * geom.nu)
+    values = geom.t * c * ct * eta_left * eta_right
+    amse = np.sum(geom.t**2 * geom.alpha * geom.beta
+                  * (1.0 - c**2 * ct**2 * eta_left * eta_right))
+    return np.diag(values), float(amse)
 
-    if omega.kind == pi.kind == "identity":
-        geom = _identity_geometry(spikes)
-    else:
-        geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
-                                           spikes, mu, nu)
-    coeff, raw = solve(geom, spikes)
-    return DenoiseResult(coeff, U @ coeff, V, max(raw, 0.0), spikes, geom,
-                         geom.clipped, raw < 0)
+
+@dataclass(frozen=True)
+class SpectralFit:
+    """Top singular vectors ``U`` (``p x r``), ``V`` (``n x r``) and spikes of one matrix.
+
+    Each method applies one loss to the fit, so one observation serves
+    many weights, partitions or submatrices for the price of one SVD.
+    """
+
+    shape: tuple
+    U: np.ndarray
+    V: np.ndarray
+    spikes: SpikeParams
+
+    def _weighted(self, omega, pi, solve) -> DenoiseResult:
+        """Weighted solve; ``solve`` gives (coefficients, raw AMSE)."""
+        (p, n), U, V, spikes = self.shape, self.U, self.V, self.spikes
+        omega = as_weight_operator(omega, p)
+        pi = as_weight_operator(pi, n)
+        mu = trace_weight(omega, p)
+        nu = trace_weight(pi, n)
+        if spikes.rank == 0:
+            return DenoiseResult(np.zeros((0, 0)), U, V, 0.0, spikes, _empty_geometry(mu, nu))
+
+        if omega.kind == pi.kind == "identity":
+            geom = _identity_geometry(spikes)
+        else:
+            geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
+                                               spikes, mu, nu)
+        coeff, raw = solve(geom, spikes)
+        return DenoiseResult(coeff, U @ coeff, V, max(raw, 0.0), spikes, geom,
+                             geom.clipped, raw < 0)
+
+    def denoise(self, omega=None, pi=None) -> DenoiseResult:
+        """Optimal spectral denoiser for these weights; see :func:`spectral_denoise`."""
+        return self._weighted(omega, pi, lambda geom, spikes: _solve(geom))
+
+    def diagonal(self, omega=None, pi=None) -> DenoiseResult:
+        """Best diagonal spectral denoiser; see :func:`diagonal_denoise`."""
+        return self._weighted(omega, pi, _diagonal_solve)
+
+    def localized(self, rows, cols):
+        """Localized denoiser on this fit; see ``localized.localized_denoise``."""
+        # Deferred here and in submatrix: localized and applications import this module.
+        from .localized import LocalizedResult, _block_sides
+        p, n = self.shape
+        if rows.dim != p:
+            raise DimensionMismatchError(f"row partition covers {rows.dim} rows, Y has {p}")
+        if cols.dim != n:
+            raise DimensionMismatchError(
+                f"column partition covers {cols.dim} columns, Y has {n}")
+        spikes = self.spikes
+        _check_cosines(spikes)
+        A, Phi, P, clip_rows = _block_sides(self.U, rows, spikes.c, spikes.s)
+        B, Psi, Q, clip_cols = _block_sides(self.V, cols, spikes.c_tilde, spikes.s_tilde)
+        t = spikes.t
+        tt = np.outer(t, t).ravel()
+        tile_amse = np.maximum((Phi * tt) @ Psi.T - (P * tt) @ Q.T, 0.0)
+        return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
+                               tuple(sorted(clip_rows | clip_cols)))
+
+    def submatrix(self, row_idx, col_idx):
+        """Submatrix denoiser on this fit; see ``applications.submatrix_denoise``."""
+        from .applications import PipelineResult
+        omega = WeightOperator.from_indices(row_idx, self.shape[0])
+        pi = WeightOperator.from_indices(col_idx, self.shape[1])
+        res = self.denoise(omega, pi)
+        return PipelineResult(omega.apply(res.left), pi.apply(res.right), res,
+                              res.amse_estimate)
+
+
+def spectral_fit(Y, rank: int | None = None, margin: float = 0.0) -> SpectralFit:
+    """The loss-independent head of every denoiser: SVD, rank and spikes of ``Y``.
+
+    ``rank`` and ``margin`` are as in :func:`spectral_denoise`.
+    """
+    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
+    return SpectralFit(Y.shape, U, V, spikes)
 
 
 def spectral_denoise(Y, omega=None, pi=None, rank: int | None = None,
@@ -215,18 +285,7 @@ def spectral_denoise(Y, omega=None, pi=None, rank: int | None = None,
     shrinkage.  A detected rank of 0 returns the zero matrix with a zero
     error estimate.
     """
-    return _weighted_denoise(Y, omega, pi, rank, margin,
-                             lambda geom, spikes: _solve(geom))
-
-
-def _diagonal_solve(geom: WeightedGeometry, spikes: SpikeParams):
-    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
-    eta_left = geom.alpha / (c**2 * geom.alpha + s**2 * geom.mu)
-    eta_right = geom.beta / (ct**2 * geom.beta + st**2 * geom.nu)
-    values = geom.t * c * ct * eta_left * eta_right
-    amse = np.sum(geom.t**2 * geom.alpha * geom.beta
-                  * (1.0 - c**2 * ct**2 * eta_left * eta_right))
-    return np.diag(values), float(amse)
+    return spectral_fit(Y, rank, margin).denoise(omega, pi)
 
 
 def diagonal_denoise(Y, omega=None, pi=None, rank: int | None = None,
@@ -242,7 +301,7 @@ def diagonal_denoise(Y, omega=None, pi=None, rank: int | None = None,
     weight mass.  Under weighted orthogonality this matches the full
     optimal spectral denoiser.
     """
-    return _weighted_denoise(Y, omega, pi, rank, margin, _diagonal_solve)
+    return spectral_fit(Y, rank, margin).diagonal(omega, pi)
 
 
 def svs_shrink(Y, rank: int | None = None, margin: float = 0.0) -> DenoiseResult:
@@ -253,7 +312,7 @@ def svs_shrink(Y, rank: int | None = None, margin: float = 0.0) -> DenoiseResult
     :func:`spectral_denoise` with uniform weights, whose geometry has the
     exact uniform-weight values (``alpha = beta = 1``).
     """
-    return spectral_denoise(Y, rank=rank, margin=margin)
+    return spectral_fit(Y, rank, margin).denoise()
 
 
 @dataclass(frozen=True)

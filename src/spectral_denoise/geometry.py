@@ -102,8 +102,6 @@ class WeightOperator:
         """``tr(W^T W)``, the squared Frobenius norm of the weight."""
         if self.kind == "identity":
             return float(self.dim)
-        if self.kind == "diag":
-            return float(np.sum(self.data**2))
         if self.kind == "indices":
             return float(self.data.size)
         return float(np.sum(self.data**2))

@@ -11,7 +11,7 @@ The weighted solve splits into a row-side and a column-side factor, so
 it runs once per row block and once per column block, never per pair:
 the estimate is a single product ``(A diag(t)) B^T`` and the tile errors
 a single ``Phi Psi^T - P Q^T``.  Fine partitions therefore cost about as
-much as the shared SVD.
+much as the shared SVD, and one ``SpectralFit`` serves many partitions.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .denoise import _as_matrix, _detect_and_estimate, _FactoredResult, _solve_side
-from .errors import DimensionMismatchError
-from .geometry import WeightOperator, _check_cosines, _recover_side, weighted_gram
+from .denoise import _FactoredResult, _solve_side, spectral_fit
+from .geometry import WeightOperator, _recover_side, weighted_gram
 from .spiked import SpikeParams
 
 __all__ = [
@@ -138,19 +137,4 @@ def localized_denoise(Y, rows: Partition, cols: Partition,
     corresponding tile of that pair's spectral denoiser, and the error
     estimates add across tiles.
     """
-    Y = _as_matrix(Y)
-    p, n = Y.shape
-    if rows.dim != p:
-        raise DimensionMismatchError(f"row partition covers {rows.dim} rows, Y has {p}")
-    if cols.dim != n:
-        raise DimensionMismatchError(f"column partition covers {cols.dim} columns, Y has {n}")
-
-    Y, U, V, spikes = _detect_and_estimate(Y, rank, margin)
-    _check_cosines(spikes)
-    A, Phi, P, clip_rows = _block_sides(U, rows, spikes.c, spikes.s)
-    B, Psi, Q, clip_cols = _block_sides(V, cols, spikes.c_tilde, spikes.s_tilde)
-    t = spikes.t
-    tt = np.outer(t, t).ravel()
-    tile_amse = np.maximum((Phi * tt) @ Psi.T - (P * tt) @ Q.T, 0.0)
-    return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
-                           tuple(sorted(clip_rows | clip_cols)))
+    return spectral_fit(Y, rank, margin).localized(rows, cols)

@@ -13,11 +13,10 @@ import numpy as np
 
 from ..applications import (NoiseCovariances, SamplingPattern,
                             estimate_noise_covariances, missing_data_denoise,
-                            shrink_submatrix_baseline, submatrix_denoise,
-                            whiten_denoise)
-from ..denoise import spectral_denoise, svs_shrink
+                            shrink_submatrix_baseline, whiten_denoise)
+from ..denoise import spectral_denoise, spectral_fit, svs_shrink
 from ..geometry import WeightOperator
-from ..localized import Partition, localized_denoise, make_equispaced_partition
+from ..localized import Partition, make_equispaced_partition
 from .._svd import svd_head_above, top_svd
 from ..spiked import bulk_edge, cosines, naive_rank
 from .metrics import relative_error, weighted_loss
@@ -77,8 +76,9 @@ def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
     model = 1.0 / (sigma * np.sqrt(n))  # rescale so noise variance is 1/n
     Ym = Y * model
 
-    shr = svs_shrink(Ym)
-    loc = localized_denoise(Ym, rows, cols)
+    fit = spectral_fit(Ym)
+    shr = fit.denoise()
+    loc = fit.localized(rows, cols)
     X_shr = shr.estimate / model
     X_loc = loc.estimate / model
     sig_energy = float(np.sum(sig.X**2))
@@ -114,9 +114,10 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
         noise = gen_noise(_noise_spec(params, derive_seed(seed, k), None), p, n)
         Y = sig.X + noise
 
-        weighted = submatrix_denoise(Y, rows_idx, cols_idx)
+        fit = spectral_fit(Y)
+        weighted = fit.submatrix(rows_idx, cols_idx)
         baseline = shrink_submatrix_baseline(Y, rows_idx, cols_idx)
-        shr = svs_shrink(Y)
+        shr = fit.denoise()
         whole = shr.left[rows_idx] @ shr.right[cols_idx].T
         out.append({
             "f": float(f),

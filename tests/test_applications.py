@@ -124,6 +124,14 @@ class TestWhiten:
         with pytest.raises(ValueError, match="col covariance must have finite entries"):
             NoiseCovariances(np.ones(3), m)
 
+    @pytest.mark.parametrize("empty", [np.ones(0), np.ones((0, 0))],
+                             ids=["vector", "matrix"])
+    def test_rejects_empty_side(self, empty):
+        with pytest.raises(ValueError, match="row covariance is empty"):
+            NoiseCovariances(empty, np.ones(3))
+        with pytest.raises(ValueError, match="col covariance is empty"):
+            NoiseCovariances(np.ones(3), empty)
+
     def test_normalize_moves_scale(self):
         cov = NoiseCovariances(np.ones(10), np.full(20, 4.0))
         norm = cov.normalize()

@@ -212,6 +212,13 @@ class TestDenoiseCommands:
         assert code == 4
         assert "index" in capsys.readouterr().err
 
+    def test_non_finite_margin_exits_5(self, tmp_path, spiked_csv, capsys):
+        path, Y, sig = spiked_csv
+        code = cli.main(["shrink", "--input", str(path), "--margin", "nan",
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 5
+        assert "margin" in capsys.readouterr().err
+
     def test_malformed_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1,2\nx,y,z\n")

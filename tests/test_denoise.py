@@ -6,8 +6,10 @@ import pytest
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
                               WeightOperator, check_shrinkage_properties,
                               cosines, diagonal_denoise, forward_singular_value,
-                              optimal_coefficients, spectral_denoise, submatrix_denoise,
-                              svs_shrink, trace_weight, weighted_gram)
+                              localized_denoise, make_equispaced_partition,
+                              optimal_coefficients, spectral_denoise, spectral_fit,
+                              submatrix_denoise, svs_shrink, trace_weight, weighted_gram)
+from spectral_denoise import denoise
 from spectral_denoise.denoise import _amse_raw, amse_estimate
 from spectral_denoise.geometry import WeightedGeometry, recover_population_geometry
 from spectral_denoise.simlab import two_block_vectors, weighted_loss
@@ -225,6 +227,72 @@ class TestSpectralDenoise:
             lhs = weighted_loss(ours.estimate, X, om, pi)
             rhs = weighted_loss(shr.estimate, X, om, pi)
             assert lhs <= rhs + 0.02 * ref
+
+
+def _same(a, b):
+    """Bit-identical results: same factors, estimate and error estimate."""
+    return (a.left.tobytes() == b.left.tobytes()
+            and a.right.tobytes() == b.right.tobytes()
+            and a.estimate.tobytes() == b.estimate.tobytes()
+            and a.amse_estimate == b.amse_estimate)
+
+
+class TestSpectralFit:
+    @staticmethod
+    def _instance(seed=21, p=90, n=140):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((p, 2)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        Y = (U * [4.0, 2.5]) @ V.T + rng.standard_normal((p, n)) / np.sqrt(n)
+        return rng, Y
+
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_methods_match_wrappers(self, rank):
+        rng, Y = self._instance()
+        p, n = Y.shape
+        om, pi = rng.uniform(0.5, 2.0, p), rng.uniform(0.5, 2.0, n)
+        rows, cols = make_equispaced_partition(p, 3), make_equispaced_partition(n, 4)
+        fit = spectral_fit(Y, rank)
+        assert fit.spikes.rank == (2 if rank is None else rank)
+        assert fit.shape == (p, n)
+        assert _same(fit.denoise(om, pi), spectral_denoise(Y, om, pi, rank=rank))
+        assert _same(fit.denoise(), svs_shrink(Y, rank=rank))
+        assert _same(fit.diagonal(om, pi), diagonal_denoise(Y, om, pi, rank=rank))
+        assert _same(fit.localized(rows, cols), localized_denoise(Y, rows, cols, rank=rank))
+        sub = fit.submatrix(np.arange(30), np.arange(0, n, 2))
+        ref = submatrix_denoise(Y, np.arange(30), np.arange(0, n, 2), rank=rank)
+        assert _same(sub, ref) and _same(sub.denoise, ref.denoise)
+
+    def test_one_fit_serves_many_losses(self):
+        rng, Y = self._instance(seed=22)
+        p, n = Y.shape
+        fit = spectral_fit(Y)
+        U, V = fit.U.copy(), fit.V.copy()
+        for om, pi in ((rng.uniform(0.5, 2.0, p), None),
+                       (WeightOperator.from_indices(np.arange(40), p),
+                        rng.uniform(0.2, 1.0, n))):
+            assert _same(fit.denoise(om, pi), spectral_denoise(Y, om, pi))
+        for rb, cb in ((2, 7), (5, 3)):
+            rows, cols = make_equispaced_partition(p, rb), make_equispaced_partition(n, cb)
+            assert _same(fit.localized(rows, cols), localized_denoise(Y, rows, cols))
+        assert np.array_equal(fit.U, U) and np.array_equal(fit.V, V)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.5])
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_bad_margin_rejected_before_svd(self, monkeypatch, margin, rank):
+        _, Y = self._instance(p=50, n=100)
+        part_r, part_c = make_equispaced_partition(50, 2), make_equispaced_partition(100, 2)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD ran before margin was checked")
+
+        monkeypatch.setattr(denoise, "svd_head_above", no_svd)
+        monkeypatch.setattr(denoise, "top_svd", no_svd)
+        for run in (lambda: spectral_denoise(Y, rank=rank, margin=margin),
+                    lambda: localized_denoise(Y, part_r, part_c, rank=rank, margin=margin),
+                    lambda: submatrix_denoise(Y, [0, 1], [2, 3], rank=rank, margin=margin)):
+            with pytest.raises(ValueError, match="margin"):
+                run()
 
 
 class TestDiagonalDenoise:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from spectral_denoise import denoise
 from spectral_denoise.errors import UndefinedMetricError
 from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
@@ -222,6 +223,26 @@ class TestRunner:
         n = resolved["params"]["n"]
         assert n % (resolved["params"]["cells"]
                     * resolved["params"]["row_blocks"]) == 0
+
+    @pytest.mark.parametrize("config, calls", [
+        ({"scenario": "localized-checkerboard", "replicates": 3,
+          "params": {"n": 64}}, 3),
+        ({"scenario": "submatrix", "replicates": 1,
+          "params": {"p": 60, "n": 120, "f_grid": [0.25, 0.95]}}, 4),
+    ], ids=["localized-checkerboard", "submatrix"])
+    def test_one_head_svd_per_matrix(self, monkeypatch, config, calls):
+        # localized-checkerboard fits Y once for shrinkage and localized;
+        # submatrix fits the whole Y once and the baseline's submatrix once.
+        count = []
+        head = denoise.svd_head_above
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return head(*args, **kwargs)
+
+        monkeypatch.setattr(denoise, "svd_head_above", counted)
+        run_experiment(dict(config, seed=5))
+        assert len(count) == calls
 
     def test_outputs_written_and_recomputable(self, tmp_path):
         report = run_experiment(self.CONFIG, output_dir=tmp_path)
