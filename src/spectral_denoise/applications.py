@@ -6,20 +6,17 @@ matrix, denoising under doubly-heteroscedastic noise by whitening, and
 completing a partially observed matrix through backprojection.  Each
 pipeline runs one weighted spectral denoiser, on ``Y`` itself or on a
 rescaled copy, and maps the resulting factors back through its weights
-into a :class:`PipelineResult`; the dense estimate is formed only when
-it is read.
+into a :class:`PipelineResult`, defined in ``denoise`` with the other
+result types; the dense estimate is formed only when it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .denoise import (DenoiseResult, _as_matrix, _FactoredResult, spectral_denoise,
-                      spectral_fit, svs_shrink)
+from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
-from .geometry import WeightOperator
+from .geometry import WeightOperator, as_weight_operator
 
 __all__ = [
     "PipelineResult",
@@ -37,20 +34,6 @@ __all__ = [
 
 #: Floor applied to estimated noise variances so the whitening transforms exist.
 VARIANCE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class PipelineResult(_FactoredResult):
-    """Pipeline output, kept as factors mapped into the output coordinates.
-
-    ``denoise`` is the inner result; ``amse_estimate`` estimates the error
-    of ``estimate = left @ right.T``, formed on each access.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    denoise: DenoiseResult
-    amse_estimate: float
 
 
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
@@ -161,11 +144,8 @@ class NoiseCovariances:
 
     def sqrt_weights(self):
         """Weight operators ``S**0.5`` and ``T**0.5`` for the whitened loss."""
-        row = self._power(self._row, 0.5)
-        col = self._power(self._col, 0.5)
-        make = lambda w: (WeightOperator.from_diagonal(w) if w.ndim == 1
-                          else WeightOperator.from_matrix(w))
-        return make(row), make(col)
+        return (as_weight_operator(self._power(self._row, 0.5), self.p),
+                as_weight_operator(self._power(self._col, 0.5), self.n))
 
     def trace_stats(self):
         """Normalized traces ``(tr S/p, tr S^-1/p, tr T/n, tr T^-1/n)``."""
@@ -203,8 +183,6 @@ def estimate_noise_covariances(Y) -> NoiseCovariances:
     ``tr(T_hat)/n = 1`` hold exactly.
     """
     Y = _as_matrix(Y)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must have finite entries")
     sq = Y**2
     a = sq.sum(axis=1)
     col_ss = sq.sum(axis=0)

@@ -23,7 +23,7 @@ from .applications import (NoiseCovariances, SamplingPattern,
                            estimate_noise_covariances, missing_data_denoise,
                            shrink_submatrix_baseline, submatrix_denoise,
                            whiten_denoise)
-from .denoise import spectral_denoise, svs_shrink
+from .denoise import spectral_denoise
 from .errors import (BelowDetectionThresholdError, DimensionMismatchError,
                      SpectralDenoiseError)
 from .geometry import WeightOperator
@@ -67,9 +67,9 @@ def _vector_from_csv(path) -> np.ndarray:
 
 
 def _weight_from_args(args, side: str, dim: int):
-    dense = getattr(args, f"{side}_weights")
-    diag = getattr(args, f"{side}_weight_diag")
-    indices = getattr(args, f"{side}_weight_indices")
+    dense = getattr(args, f"{side}_weights", None)
+    diag = getattr(args, f"{side}_weight_diag", None)
+    indices = getattr(args, f"{side}_weight_indices", None)
     if dense:
         return WeightOperator.from_matrix(io.read_dense_csv(dense))
     if diag:
@@ -79,40 +79,31 @@ def _weight_from_args(args, side: str, dim: int):
     return None
 
 
-def _finish(args, command, estimate, result_for_report, extra=None) -> int:
+def _finish(args, estimate, result_for_report, extra=None) -> int:
     io.write_dense_csv(args.output, estimate)
     if args.report:
         config = {k: v for k, v in vars(args).items()
                   if k != "func" and not k.startswith("_")}
-        report = io.build_report(command, config, result_for_report, extra=extra)
+        report = io.build_report(args.command, config, result_for_report, extra=extra)
         io.write_report_json(args.report, report)
     return EXIT_OK
 
 
 def _cmd_denoise(args) -> int:
+    """``denoise``, and ``shrink``: with no weight flags this is shrinkage."""
     Y = io.read_dense_csv(args.input)
     p, n = Y.shape
     omega = _weight_from_args(args, "row", p)
     pi = _weight_from_args(args, "col", n)
     res = spectral_denoise(Y, omega, pi, rank=args.rank, margin=args.margin)
-    return _finish(args, "denoise", res.estimate, res)
-
-
-def _cmd_shrink(args) -> int:
-    Y = io.read_dense_csv(args.input)
-    res = svs_shrink(Y, rank=args.rank, margin=args.margin)
-    return _finish(args, "shrink", res.estimate, res)
+    return _finish(args, res.estimate, res)
 
 
 def _partition_from_args(args, side: str, dim: int) -> Partition:
     blocks = getattr(args, f"{side}_blocks")
     part_file = getattr(args, f"{side}_partition")
     if part_file:
-        lists = io.read_partition_json(part_file)
-        try:
-            return Partition.from_lists(dim, lists)
-        except ValueError as exc:
-            raise io.MatrixFileError(f"{part_file}: {exc}") from exc
+        return Partition.from_json(part_file, dim)
     return make_equispaced_partition(dim, blocks if blocks else 1)
 
 
@@ -124,7 +115,7 @@ def _cmd_localized(args) -> int:
     res = localized_denoise(Y, rows, cols, rank=args.rank, margin=args.margin)
     extra = {"row_blocks": len(rows), "col_blocks": len(cols),
              "tile_amse": res.tile_amse.tolist()}
-    return _finish(args, "localized", res.estimate, res, extra=extra)
+    return _finish(args, res.estimate, res, extra=extra)
 
 
 def _cmd_submatrix(args) -> int:
@@ -133,7 +124,7 @@ def _cmd_submatrix(args) -> int:
     cols = io.read_index_json(args.cols)
     run = shrink_submatrix_baseline if args.baseline else submatrix_denoise
     res = run(Y, rows, cols, rank=args.rank, margin=args.margin)
-    return _finish(args, "submatrix", res.estimate, res.denoise,
+    return _finish(args, res.estimate, res.denoise,
                    extra={"baseline": args.baseline,
                           "amse_estimate": res.amse_estimate})
 
@@ -156,7 +147,7 @@ def _cmd_whiten(args) -> int:
         cov = NoiseCovariances(_covariance_from_file(args.cov_s),
                                _covariance_from_file(args.cov_t))
     res = whiten_denoise(Y, cov, rank=args.rank, margin=args.margin)
-    return _finish(args, "whiten", res.estimate, res.denoise,
+    return _finish(args, res.estimate, res.denoise,
                    extra={"estimated_covariances": bool(args.estimate_cov)})
 
 
@@ -179,7 +170,7 @@ def _cmd_complete(args) -> int:
     estimate *= args.noise_sd
     extra = {"observed_entries": int(pattern.mask.sum()),
              "amse_estimate": float(res.amse_estimate * args.noise_sd**2)}
-    return _finish(args, "complete", estimate, res.denoise, extra=extra)
+    return _finish(args, estimate, res.denoise, extra=extra)
 
 
 def _cmd_simulate(args) -> int:
@@ -215,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("shrink", help="optimal singular value shrinkage")
     _add_io_args(p)
-    p.set_defaults(func=_cmd_shrink)
+    p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("localized", help="blockwise localized denoising")
     _add_io_args(p)

@@ -7,6 +7,10 @@ a small least-squares problem parameterized by the weighted geometry of
 the singular vectors; with uniform weights this collapses to classical
 singular value shrinkage.  Only that solve depends on the loss; the SVD,
 rank and spikes form one :class:`SpectralFit` shared by every denoiser.
+
+Every loss's solve (the localized per-block one too) and every result
+type live here: :class:`DenoiseResult`, :class:`LocalizedResult` and
+:class:`PipelineResult`.  This module imports none of its callers.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from ._svd import svd_head_above, top_svd
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
-                       _check_cosines, _empty_geometry)
+                       _check_cosines, _empty_geometry, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point,
-                     estimate_spike_params, forward_singular_value)
+                     estimate_spike_params, forward_singular_value, _check_margin)
 
 __all__ = [
     "SpectralFit",
@@ -85,6 +89,38 @@ class DenoiseResult(_FactoredResult):
     amse_clamped: bool = False
 
 
+@dataclass(frozen=True)
+class LocalizedResult(_FactoredResult):
+    """Reassembled localized denoiser output, kept as rank-``r`` factors.
+
+    ``left @ right.T`` is the estimate, with ``left = A diag(t)`` and
+    ``right = B``.  ``tile_amse[i, j]`` is the estimated weighted error of
+    the block pair ``(i, j)``; ``amse_estimate`` is their sum, which
+    estimates the total unweighted squared error.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    amse_estimate: float
+    spikes: SpikeParams
+    tile_amse: np.ndarray
+    clipped_components: tuple = field(default=())
+
+
+@dataclass(frozen=True)
+class PipelineResult(_FactoredResult):
+    """Pipeline output, kept as factors mapped into the output coordinates.
+
+    ``denoise`` is the inner result; ``amse_estimate`` estimates the error
+    of ``estimate = left @ right.T``, formed on each access.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    denoise: DenoiseResult
+    amse_estimate: float
+
+
 def _solve_side(gram: np.ndarray, cross: np.ndarray):
     """One side of the weighted solve: ``L = pinv(D) C`` and ``K = C^T L``.
 
@@ -102,6 +138,26 @@ def _solve(geom: WeightedGeometry):
     t = geom.t
     raw = t @ (geom.pop_gram_left * geom.pop_gram_right - K * Kt) @ t
     return (L * t) @ R.T, float(raw)
+
+
+def _block_sides(vectors: np.ndarray, part, cos, sin):
+    """One side's weighted solve for every block of the partition ``part``.
+
+    Returns ``F`` (``F[b] = vectors[b] @ L_b``), the rows ``vec(E_b)`` and
+    ``vec(K_b)``, and the clipped components.
+    """
+    dim = vectors.shape[0]
+    F = np.empty_like(vectors)
+    E, K, clipped = [], [], set()
+    for idx in part.blocks:
+        gram = weighted_gram(vectors, WeightOperator.from_indices(idx, dim))
+        _, pop, cross, clip = _recover_side(gram, cos, sin, idx.size / dim)
+        L, K_b = _solve_side(gram, cross)
+        F[idx] = vectors[idx] @ L
+        E.append(pop.ravel())
+        K.append(K_b.ravel())
+        clipped.update(clip.tolist())
+    return F, np.array(E), np.array(K), clipped
 
 
 def optimal_coefficients(geom: WeightedGeometry) -> np.ndarray:
@@ -130,23 +186,21 @@ def amse_estimate(geom: WeightedGeometry) -> float:
 
 
 def _as_matrix(Y) -> np.ndarray:
-    """``Y`` as a float array, checked to be a non-empty matrix."""
+    """``Y`` as a float array, checked to be a non-empty matrix of finite entries."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("Y must be a 2-D matrix")
     if Y.size == 0:
         raise DegenerateEstimateError(f"Y is empty (shape {Y.shape[0]}x{Y.shape[1]})")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must have finite entries")
     return Y
 
 
 def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     """Shared head: top SVD, rank detection, spike parameter recovery."""
-    margin = float(margin)
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    margin = _check_margin(margin)
     Y = _as_matrix(Y)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must have finite entries")
     p, n = Y.shape
     gamma = p / n
     if rank is None:
@@ -173,11 +227,18 @@ def _identity_geometry(spikes: SpikeParams) -> WeightedGeometry:
                             1.0, 1.0, ones, ones.copy())
 
 
+def _diagonal_map(t, cos, alpha, beta, mu, nu):
+    """Values ``t c c~ eta_left eta_right`` and both etas, for ``cos = (c, c~, s, s~)``."""
+    c, ct, s, st = cos
+    eta_left = alpha / (c**2 * alpha + s**2 * mu)
+    eta_right = beta / (ct**2 * beta + st**2 * nu)
+    return t * c * ct * eta_left * eta_right, eta_left, eta_right
+
+
 def _diagonal_solve(geom: WeightedGeometry, spikes: SpikeParams):
-    c, ct, s, st = spikes.c, spikes.c_tilde, spikes.s, spikes.s_tilde
-    eta_left = geom.alpha / (c**2 * geom.alpha + s**2 * geom.mu)
-    eta_right = geom.beta / (ct**2 * geom.beta + st**2 * geom.nu)
-    values = geom.t * c * ct * eta_left * eta_right
+    c, ct = spikes.c, spikes.c_tilde
+    values, eta_left, eta_right = _diagonal_map(
+        geom.t, (c, ct, spikes.s, spikes.s_tilde), geom.alpha, geom.beta, geom.mu, geom.nu)
     amse = np.sum(geom.t**2 * geom.alpha * geom.beta
                   * (1.0 - c**2 * ct**2 * eta_left * eta_right))
     return np.diag(values), float(amse)
@@ -223,10 +284,8 @@ class SpectralFit:
         """Best diagonal spectral denoiser; see :func:`diagonal_denoise`."""
         return self._weighted(omega, pi, _diagonal_solve)
 
-    def localized(self, rows, cols):
+    def localized(self, rows, cols) -> LocalizedResult:
         """Localized denoiser on this fit; see ``localized.localized_denoise``."""
-        # Deferred here and in submatrix: localized and applications import this module.
-        from .localized import LocalizedResult, _block_sides
         p, n = self.shape
         if rows.dim != p:
             raise DimensionMismatchError(f"row partition covers {rows.dim} rows, Y has {p}")
@@ -243,9 +302,8 @@ class SpectralFit:
         return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
                                tuple(sorted(clip_rows | clip_cols)))
 
-    def submatrix(self, row_idx, col_idx):
+    def submatrix(self, row_idx, col_idx) -> PipelineResult:
         """Submatrix denoiser on this fit; see ``applications.submatrix_denoise``."""
-        from .applications import PipelineResult
         omega = WeightOperator.from_indices(row_idx, self.shape[0])
         pi = WeightOperator.from_indices(col_idx, self.shape[1])
         res = self.denoise(omega, pi)
@@ -355,9 +413,7 @@ def check_shrinkage_properties(gamma: float, alpha: float, beta: float,
         raise ValueError("t_grid must lie above the detection point gamma**0.25")
 
     lam = np.asarray(forward_singular_value(t, gamma))
-    c, ct, s, st = cosines(t, gamma)
-    eta = (alpha / (c**2 * alpha + s**2 * mu)) * (beta / (ct**2 * beta + st**2 * nu))
-    denoised = t * c * ct * eta
+    denoised = _diagonal_map(t, cosines(t, gamma), alpha, beta, mu, nu)[0]
 
     tol = 1e-12
     shrinks = denoised <= lam + tol

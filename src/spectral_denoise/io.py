@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import DimensionMismatchError
 
 __all__ = [
@@ -198,8 +199,6 @@ REPORT_SCHEMA_VERSION = 1
 
 def build_report(command: str, config: dict, result=None, extra: dict | None = None) -> dict:
     """Assemble the JSON report for one CLI invocation."""
-    from . import __version__
-
     report = {
         "schema": REPORT_SCHEMA_VERSION,
         "version": __version__,

@@ -7,23 +7,22 @@ are reassembled.  One SVD of the observed matrix is shared by all block
 pairs, as is the globally detected rank.  For unweighted loss the result
 is asymptotically never worse than singular value shrinkage.
 
-The weighted solve splits into a row-side and a column-side factor, so
-it runs once per row block and once per column block, never per pair:
-the estimate is a single product ``(A diag(t)) B^T`` and the tile errors
-a single ``Phi Psi^T - P Q^T``.  Fine partitions therefore cost about as
-much as the shared SVD, and one ``SpectralFit`` serves many partitions.
+The weighted solve, in ``denoise`` with :class:`LocalizedResult`, splits
+into a row-side and a column-side factor, so it runs once per row block
+and once per column block, never per pair: the estimate is a single
+product ``(A diag(t)) B^T`` and the tile errors a single
+``Phi Psi^T - P Q^T``.  Fine partitions therefore cost about as much as
+the shared SVD, and one ``SpectralFit`` serves many partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import io
-from .denoise import _FactoredResult, _solve_side, spectral_fit
-from .geometry import WeightOperator, _recover_side, weighted_gram
-from .spiked import SpikeParams
+from .denoise import LocalizedResult, spectral_fit
 
 __all__ = [
     "Partition",
@@ -73,7 +72,12 @@ class Partition:
 
     @classmethod
     def from_json(cls, path, dim: int) -> "Partition":
-        return cls.from_lists(dim, io.read_partition_json(path))
+        """Read a partition file; an invalid partition raises ``MatrixFileError``."""
+        lists = io.read_partition_json(path)
+        try:
+            return cls.from_lists(dim, lists)
+        except ValueError as exc:
+            raise io.MatrixFileError(f"{path}: {exc}") from exc
 
 
 def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
@@ -87,44 +91,6 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
         raise ValueError(f"num_blocks must be in [1, {dim}], got {num_blocks}")
     blocks = np.array_split(np.arange(dim, dtype=np.intp), num_blocks)
     return Partition(dim, tuple(blocks))
-
-
-@dataclass(frozen=True)
-class LocalizedResult(_FactoredResult):
-    """Reassembled localized denoiser output, kept as rank-``r`` factors.
-
-    ``left @ right.T`` is the estimate, with ``left = A diag(t)`` and
-    ``right = B``.  ``tile_amse[i, j]`` is the estimated weighted error of
-    the block pair ``(i, j)``; ``amse_estimate`` is their sum, which
-    estimates the total unweighted squared error.
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-    amse_estimate: float
-    spikes: SpikeParams
-    tile_amse: np.ndarray
-    clipped_components: tuple = field(default=())
-
-
-def _block_sides(vectors: np.ndarray, part: Partition, cos, sin):
-    """One side's weighted solve for every block of ``part``.
-
-    Returns ``F`` (``F[b] = vectors[b] @ L_b``), the rows ``vec(E_b)`` and
-    ``vec(K_b)``, and the clipped components.
-    """
-    dim = vectors.shape[0]
-    F = np.empty_like(vectors)
-    E, K, clipped = [], [], set()
-    for idx in part.blocks:
-        gram = weighted_gram(vectors, WeightOperator.from_indices(idx, dim))
-        _, pop, cross, clip = _recover_side(gram, cos, sin, idx.size / dim)
-        L, K_b = _solve_side(gram, cross)
-        F[idx] = vectors[idx] @ L
-        E.append(pop.ravel())
-        K.append(K_b.ravel())
-        clipped.update(clip.tolist())
-    return F, np.array(E), np.array(K), clipped
 
 
 def localized_denoise(Y, rows: Partition, cols: Partition,

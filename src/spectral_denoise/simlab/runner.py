@@ -16,11 +16,12 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .. import __version__
 from ..io import _read_json
 from .noise import derive_seed
 from .scenarios import SCENARIOS
@@ -30,18 +31,18 @@ __all__ = ["ExperimentReport", "run_experiment", "resolve_config",
 
 CONFIG_SCHEMA_VERSION = 1
 
-
-def _package_version() -> str:
-    from .. import __version__
-    return __version__
+_CONFIG_KEYS = ("schema", "scenario", "seed", "replicates", "scale", "params")
 
 
 def resolve_config(config) -> dict:
-    """Validate a config (dict or JSON path) and fill in scenario defaults."""
+    """Validate a config (dict or JSON path), reject unknown keys, fill in defaults."""
     if isinstance(config, (str, Path)):
         config = _read_json(config)
     if not isinstance(config, dict):
         raise ValueError("config must be a dict or a path to a JSON file")
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}; expected {list(_CONFIG_KEYS)}")
     schema = config.get("schema", CONFIG_SCHEMA_VERSION)
     if schema != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema {schema!r}; "
@@ -52,6 +53,10 @@ def resolve_config(config) -> dict:
                          f"{sorted(SCENARIOS)}")
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
+    unknown = sorted(set(config.get("params", {})) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {name} param {unknown[0]!r}; valid params: "
+                         f"{sorted(params)}")
     params.update(config.get("params", {}))
     scale = float(config.get("scale", 1.0))
     if scale <= 0:
@@ -87,7 +92,7 @@ class ExperimentReport:
     aggregates: tuple
     seeds: tuple
     wall_clock_s: float
-    version: str = field(default_factory=_package_version)
+    version: str = __version__
 
     def to_dict(self) -> dict:
         return {

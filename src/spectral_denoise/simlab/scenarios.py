@@ -2,9 +2,10 @@
 
 Each scenario exposes defaults, a grouping of its grid columns, and a
 ``replicate(params, seed)`` function returning one metrics row per grid
-point.  All randomness inside a replicate flows from the single seed it
-is handed, so replicates are independent jobs and reruns are bitwise
-reproducible.
+point.  The defaults declare every parameter a scenario reads and are
+the only place it gets its default value.  All randomness inside a
+replicate flows from the single seed it is handed, so replicates are
+independent jobs and reruns are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from ..applications import (NoiseCovariances, SamplingPattern,
 from ..denoise import spectral_denoise, spectral_fit, svs_shrink
 from ..geometry import WeightOperator
 from ..localized import Partition, make_equispaced_partition
-from .._svd import svd_head_above, top_svd
-from ..spiked import bulk_edge, cosines, naive_rank
+from .._svd import top_svd
+from ..spiked import cosines
 from .metrics import relative_error, weighted_loss
 from .noise import NoiseSpec, derive_seed, gen_noise, make_rng
 from .signals import SignalSpec, gen_signal, two_block_vectors
@@ -27,7 +28,7 @@ __all__ = ["SCENARIOS", "offset_partition"]
 
 
 def _noise_spec(params: dict, seed: int, scale: float | None) -> NoiseSpec:
-    dist = params.get("dist", "gaussian")
+    dist = params["dist"]
     df = None
     if isinstance(dist, (int, float)):
         dist, df = "student_t", float(dist)
@@ -59,17 +60,15 @@ def offset_partition(dim: int, num_blocks: int, offset: int) -> Partition:
 
 def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
     n = int(params["n"])
-    p = int(round(params.get("gamma", 1.0) * n))
+    p = int(round(params["gamma"] * n))
     f = float(params["f"])
-    cells = int(params.get("cells", 8))
+    cells = int(params["cells"])
     sig = gen_signal(SignalSpec("checkerboard", p, n, f=f, cells=cells))
-    sd_scale = float(params.get("noise_sd_scale", 0.1))
+    sd_scale = float(params["noise_sd_scale"])
     sigma = sd_scale / np.sqrt(n)
 
-    rows = offset_partition(p, int(params.get("row_blocks", 4)),
-                            int(params.get("row_offset", 0)))
-    cols = offset_partition(n, int(params.get("col_blocks", 4)),
-                            int(params.get("col_offset", 0)))
+    rows = offset_partition(p, int(params["row_blocks"]), int(params["row_offset"]))
+    cols = offset_partition(n, int(params["col_blocks"]), int(params["col_offset"]))
 
     noise = gen_noise(_noise_spec(params, seed, sigma), p, n)
     Y = sig.X + noise
@@ -103,7 +102,7 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
     p = int(params["p"])
     n = int(params["n"])
     gamma = p / n
-    t = gamma**0.25 + float(params.get("t_offset", 0.5))
+    t = gamma**0.25 + float(params["t_offset"])
     rows_idx = np.arange(p // 2)
     cols_idx = np.arange(n // 2)
     out = []
@@ -137,7 +136,7 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
     p = int(params["p"])
     n = int(params["n"])
     gamma = p / n
-    r = int(params.get("rank", 5))
+    r = int(params["rank"])
     t = tuple(gamma**0.25 + 0.5 + k for k in range(r))[::-1]
     out = []
     for k, kappa in enumerate(params["kappa_grid"]):
@@ -173,10 +172,10 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
     p = int(params["p"])
     n = int(params["n"])
     gamma = p / n
-    r = int(params.get("rank", 5))
+    r = int(params["rank"])
     t = tuple(np.sqrt(np.sqrt(gamma) + 200.0 * k) for k in range(r, 0, -1))
-    q_row = np.linspace(*params.get("q_row_range", (0.3, 0.7)), p)
-    q_col = np.linspace(*params.get("q_col_range", (0.3, 0.7)), n)
+    q_row = np.linspace(*params["q_row_range"], p)
+    q_col = np.linspace(*params["q_col_range"], n)
     out = []
     for k, sigma in enumerate(params["sigma_grid"]):
         rng = make_rng(derive_seed(seed, 3 * k))
@@ -186,7 +185,7 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
         mask = (mask_rng.random((p, n)) < np.outer(q_row, q_col))
         # Unit-variance convention: divide observations by sigma, scale back.
         pattern = SamplingPattern.from_dense((sig.X + noise) / sigma, mask, q_row, q_col)
-        res = missing_data_denoise(pattern, margin=float(params.get("margin", 0.0)))
+        res = missing_data_denoise(pattern, margin=float(params["margin"]))
         out.append({
             "sigma": float(sigma),
             "rel_err": relative_error(sigma * res.estimate, sig.X),
@@ -210,8 +209,8 @@ def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
 
 
 def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
-    gamma = float(params.get("gamma", 2.0))
-    frac = float(params.get("omega_fraction", 0.75))
+    gamma = float(params["gamma"])
+    frac = float(params["omega_fraction"])
     out = []
     k = 0
     for n in params["n_grid"]:
@@ -263,16 +262,14 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
         local = dict(params, dist=dist)
         noise = gen_noise(_noise_spec(local, derive_seed(seed, k), None), p, n)
         Y = sig.X + noise
-        _, _, _, spectrum = svd_head_above(Y, bulk_edge(gamma))
-        detected = naive_rank(spectrum, gamma)
         res_oracle = spectral_denoise(Y, omega, pi, rank=oracle_rank)
-        res_naive = spectral_denoise(Y, omega, pi, rank=detected)
+        res_naive = spectral_fit(Y).denoise(omega, pi)
         wrel = lambda est: relative_error(est, sig.X,
                                           omega=np.linspace(1.0 / p, 1.0, p),
                                           pi=np.linspace(1.0 / p, 1.0 / gamma, n))
         out.append({
             "dist": str(dist),
-            "naive_rank": detected,
+            "naive_rank": res_naive.rank,
             "rel_err_oracle": wrel(res_oracle.estimate),
             "rel_err_naive": wrel(res_naive.estimate),
         })
@@ -284,8 +281,8 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _scale_localized(params: dict, scale: float) -> dict:
-    cells = int(params.get("cells", 8))
-    blocks = max(int(params.get("row_blocks", 4)), int(params.get("col_blocks", 4)))
+    cells = int(params["cells"])
+    blocks = max(int(params["row_blocks"]), int(params["col_blocks"]))
     quantum = cells * blocks
     n = max(quantum, int(round(params["n"] * scale / quantum)) * quantum)
     return dict(params, n=n)
@@ -336,7 +333,7 @@ SCENARIOS = {
         "missing-data", _missing_data_replicate,
         {"p": 200, "n": 400, "rank": 5, "sigma_grid": [0.125, 0.25, 0.5],
          "q_row_range": (0.3, 0.7), "q_col_range": (0.3, 0.7),
-         "dist": "gaussian"},
+         "margin": 0.0, "dist": "gaussian"},
         ["sigma"], _scale_pn),
     "weighted-inner-products": Scenario(
         "weighted-inner-products", _weighted_inner_products_replicate,

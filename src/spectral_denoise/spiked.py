@@ -38,6 +38,29 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
+def _check_margin(margin: float) -> float:
+    margin = float(margin)
+    if not (np.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
+    return margin
+
+
+def _check_t(t) -> np.ndarray:
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
+        raise ValueError("population singular value t must be positive and finite")
+    return t_arr
+
+
+def _check_spectrum(singular_values) -> np.ndarray:
+    sv = np.asarray(singular_values, dtype=float)
+    if sv.ndim != 1:
+        raise ValueError("singular_values must be a 1-D vector")
+    if sv.size and np.any(np.diff(sv) > 0):
+        raise ValueError("singular_values must be sorted in descending order")
+    return sv
+
+
 def bulk_edge(gamma: float) -> float:
     """Asymptotic largest singular value of pure noise, ``1 + sqrt(gamma)``."""
     return 1.0 + np.sqrt(_check_gamma(gamma))
@@ -56,12 +79,10 @@ def forward_singular_value(t, gamma: float):
     or arrays; the two branches agree at ``t = gamma**0.25``.
     """
     gamma = _check_gamma(gamma)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("population singular value t must be positive and finite")
+    t_arr = _check_t(t)
     t2 = t_arr**2
     above = np.sqrt((t2 + 1.0) * (1.0 + gamma / t2))
-    lam = np.where(t_arr > gamma**0.25, above, 1.0 + np.sqrt(gamma))
+    lam = np.where(t_arr > detection_point(gamma), above, bulk_edge(gamma))
     return float(lam) if np.isscalar(t) or t_arr.ndim == 0 else lam
 
 
@@ -70,16 +91,19 @@ def invert_singular_value(lam, gamma: float):
 
     Inverts :func:`forward_singular_value` on the detectable branch.
     Requires ``lam > 1 + sqrt(gamma)``; at or below the bulk edge the map
-    is not invertible and :class:`BelowDetectionThresholdError` is raised.
+    is not invertible and :class:`BelowDetectionThresholdError` is raised,
+    naming the first offending value and, for arrays, its index.
     """
     gamma = _check_gamma(gamma)
     lam_arr = np.asarray(lam, dtype=float)
-    edge = 1.0 + np.sqrt(gamma)
+    edge = bulk_edge(gamma)
     if np.any(lam_arr <= edge):
-        bad = int(np.argmax(lam_arr <= edge)) if lam_arr.ndim else None
+        k = int(np.argmax(lam_arr <= edge))
+        at = f" at index {k}" if lam_arr.ndim else ""
         raise BelowDetectionThresholdError(
-            f"observed singular value must exceed the bulk edge {edge:.6g}",
-            index=bad,
+            f"singular value {lam_arr.flat[k]:.6g}{at} does not exceed "
+            f"the bulk edge {edge:.6g}",
+            index=k if lam_arr.ndim else None,
         )
     m = lam_arr**2 - 1.0 - gamma
     t = np.sqrt((m + np.sqrt(m**2 - 4.0 * gamma)) / 2.0)
@@ -101,9 +125,7 @@ def cosines(t, gamma: float):
     ``t**4 - gamma`` to avoid cancellation near the detection point.
     """
     gamma = _check_gamma(gamma)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("population singular value t must be positive and finite")
+    t_arr = _check_t(t)
     t2 = t_arr**2
     t4 = t2**2
     num = np.maximum(t4 - gamma, 0.0)
@@ -126,16 +148,9 @@ def naive_rank(singular_values, gamma: float, margin: float = 0.0) -> int:
     Input must be sorted in descending order.  The margin shifts the
     threshold upward to guard against bulk-edge fluctuations at finite n.
     """
-    gamma = _check_gamma(gamma)
-    margin = float(margin)
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim != 1:
-        raise ValueError("singular_values must be a 1-D vector")
-    if sv.size and np.any(np.diff(sv) > 0):
-        raise ValueError("singular_values must be sorted in descending order")
-    return int(np.sum(sv > 1.0 + np.sqrt(gamma) + margin))
+    margin = _check_margin(margin)
+    sv = _check_spectrum(singular_values)
+    return int(np.sum(sv > bulk_edge(gamma) + margin))
 
 
 @dataclass(frozen=True)
@@ -179,12 +194,7 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
     separated population values and does not cover exact ties.
     """
     gamma = _check_gamma(gamma)
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim != 1:
-        raise ValueError("singular_values must be a 1-D vector")
-    if sv.size and np.any(np.diff(sv) > 0):
-        raise ValueError("singular_values must be sorted in descending order")
-
+    sv = _check_spectrum(singular_values)
     if rank is None:
         rank = naive_rank(sv, gamma, margin=margin)
     else:
@@ -193,21 +203,6 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
             raise ValueError("rank must be nonnegative")
         if rank > sv.size:
             raise ValueError(f"rank {rank} exceeds the {sv.size} singular values supplied")
-        edge = 1.0 + np.sqrt(gamma)
-        below = np.nonzero(sv[:rank] <= edge)[0]
-        if below.size:
-            k = int(below[0])
-            raise BelowDetectionThresholdError(
-                f"singular value {sv[k]:.6g} at index {k} does not exceed "
-                f"the bulk edge {edge:.6g}",
-                index=k,
-            )
-
-    head = sv[:rank]
-    if rank == 0:
-        z = np.zeros(0)
-        return SpikeParams(0, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(), gamma)
-    t = np.atleast_1d(invert_singular_value(head, gamma))
-    c, ct, s, st = cosines(t, gamma)
-    return SpikeParams(rank, head.copy(), t, np.atleast_1d(c), np.atleast_1d(ct),
-                       np.atleast_1d(s), np.atleast_1d(st), gamma)
+    head = sv[:rank].copy()
+    t = invert_singular_value(head, gamma)
+    return SpikeParams(rank, head, t, *cosines(t, gamma), gamma)

@@ -68,6 +68,13 @@ class TestSubmatrix:
         with pytest.raises(ValueError):
             submatrix_denoise(np.eye(5), [], [0])
 
+    @pytest.mark.parametrize("run", [submatrix_denoise, shrink_submatrix_baseline])
+    def test_non_finite_entry_outside_submatrix_rejected(self, run):
+        _, Y = _rank1_instance(np.random.default_rng(4), 40, 60)
+        Y[39, 59] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            run(Y, np.arange(20), np.arange(30))
+
     @pytest.mark.slow
     def test_merging_beats_submatrix_shrinkage_in_hypothesis_regime(self):
         # Energy fractions below sqrt(weight mass): using the whole matrix to

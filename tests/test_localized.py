@@ -56,6 +56,12 @@ class TestPartition:
         with pytest.raises(MatrixFileError):
             Partition.from_json(path, 2)
 
+    def test_invalid_json_partition_names_file(self, tmp_path):
+        path = tmp_path / "overlap.json"
+        path.write_text("[[0, 1], [1, 2, 3]]")
+        with pytest.raises(MatrixFileError, match="overlap.json.*disjoint"):
+            Partition.from_json(path, 4)
+
 
 def test_frobenius_decomposition_identity():
     rng = np.random.default_rng(4)

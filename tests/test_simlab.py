@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
                                      gen_noise, gen_signal, make_rng,
                                      relative_error, resolve_config,
                                      run_experiment, splitmix64)
-from spectral_denoise.simlab.scenarios import offset_partition
+from spectral_denoise.simlab import scenarios
+from spectral_denoise.simlab.scenarios import SCENARIOS, offset_partition
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestCheckerboard:
@@ -194,6 +199,34 @@ class TestRunner:
         with pytest.raises(ValueError):
             resolve_config({"schema": 99, "scenario": "submatrix"})
 
+    @pytest.mark.parametrize("config, key", [
+        ({"scenario": "heteroscedastic", "replicas": 3}, "replicas"),
+        ({"scenario": "heteroscedastic", "params": {"kapa_grid": [10.0]}}, "kapa_grid"),
+    ], ids=["top-level", "param"])
+    def test_misspelled_key_rejected(self, config, key):
+        with pytest.raises(ValueError, match=key) as err:
+            resolve_config(config)
+        if key == "kapa_grid":
+            assert "kappa_grid" in str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenario_runs_from_its_own_defaults(self, name):
+        # The defaults declare every param a replicate reads: a missing one
+        # would raise KeyError here.
+        defaults = SCENARIOS[name].defaults
+        assert resolve_config({"scenario": name, "params": dict(defaults)})["params"] \
+            == defaults
+        report = run_experiment({"scenario": name, "replicates": 1, "scale": 0.1})
+        assert len(report.rows) >= 1
+
+    def test_readme_config_example_runs(self):
+        block = re.search(r"## Experiments.*?```json\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        config = json.loads(block)
+        assert resolve_config(config)["replicates"] == config["replicates"]
+        report = run_experiment(dict(config, replicates=1, scale=0.1))
+        assert report.scenario == config["scenario"]
+
     @pytest.mark.parametrize("content", [b"\xff\xfe\x00",
                                          b'{"seed": ' + b"9" * 5000 + b"}"],
                              ids=["undecodable", "oversized-integer"])
@@ -243,6 +276,26 @@ class TestRunner:
         monkeypatch.setattr(denoise, "svd_head_above", counted)
         run_experiment(dict(config, seed=5))
         assert len(count) == calls
+
+    def test_rank_estimation_takes_two_head_svds_per_draw(self, monkeypatch):
+        # One forced-rank fit for the oracle and one detected-rank fit whose
+        # rank is the naive count; no separate spectrum for the count.
+        count = []
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                count.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module in (denoise, scenarios):
+            for name in ("top_svd", "svd_head_above"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        run_experiment({"scenario": "rank-estimation", "seed": 5, "replicates": 3,
+                        "params": {"p": 60, "n": 120, "dists": ["gaussian", "t3"]}})
+        assert len(count) == 2 * 3 * 2
+        assert count.count("svd_head_above") == count.count("top_svd") == 6
 
     def test_outputs_written_and_recomputable(self, tmp_path):
         report = run_experiment(self.CONFIG, output_dir=tmp_path)

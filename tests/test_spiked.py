@@ -56,6 +56,12 @@ class TestInvert:
         with pytest.raises(BelowDetectionThresholdError):
             invert_singular_value(1.9, 1.0)
 
+    def test_error_names_value_and_index(self):
+        with pytest.raises(BelowDetectionThresholdError,
+                           match="singular value 2 at index 1 does not exceed") as err:
+            invert_singular_value([3.0, 2.0], 1.0)
+        assert err.value.index == 1
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(t=st.floats(0.5, 50.0), g=st.floats(0.05, 8.0))
     def test_roundtrip_property(self, t, g):
@@ -111,6 +117,11 @@ class TestNaiveRank:
         with pytest.raises(ValueError):
             naive_rank([1.0, 2.0], 1.0)
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.5])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            naive_rank([3.0, 2.5], 1.0, margin=margin)
+
 
 class TestEstimateSpikeParams:
     def test_single_component(self):
@@ -134,6 +145,11 @@ class TestEstimateSpikeParams:
     def test_rank_zero(self):
         sp = estimate_spike_params([1.5], 1.0)
         assert sp.rank == 0 and sp.t.size == 0
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.5])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            estimate_spike_params([3.0, 2.5], 1.0, margin=margin)
 
 
 @pytest.mark.slow
