@@ -47,13 +47,14 @@ PINV_RCOND = 1e-8
 
 
 def _sym_pinv(m: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of a symmetric PSD matrix via eigendecomposition."""
+    """Pseudoinverse of a symmetric PSD matrix, or of each in a ``(..., r, r)`` stack."""
     if m.size == 0:
         return m.copy()
-    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    cutoff = PINV_RCOND * max(np.max(np.abs(vals)), np.finfo(float).tiny)
+    vals, vecs = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
+    cutoff = PINV_RCOND * np.maximum(np.max(np.abs(vals), axis=-1, keepdims=True),
+                                     np.finfo(float).tiny)
     inv = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
-    return (vecs * inv) @ vecs.T
+    return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 class _FactoredResult:
@@ -126,9 +127,10 @@ def _solve_side(gram: np.ndarray, cross: np.ndarray):
 
     The coefficients are ``L diag(t) R^T`` and the raw AMSE
     ``t^T (E o E~ - K o K~) t``, with ``R``, ``K~`` the column side's.
+    ``gram`` and ``cross`` may be ``(..., r, r)`` stacks, solved in one call.
     """
     L = _sym_pinv(gram) @ cross
-    return L, cross.T @ L
+    return L, np.swapaxes(cross, -1, -2) @ L
 
 
 def _solve(geom: WeightedGeometry):
@@ -143,21 +145,23 @@ def _solve(geom: WeightedGeometry):
 def _block_sides(vectors: np.ndarray, part, cos, sin):
     """One side's weighted solve for every block of the partition ``part``.
 
-    Returns ``F`` (``F[b] = vectors[b] @ L_b``), the rows ``vec(E_b)`` and
-    ``vec(K_b)``, and the clipped components.
+    The block Grams ``vectors[b]^T vectors[b]`` come from one sum of the
+    rows' outer products grouped by block, and one stacked
+    :func:`_solve_side` solves them all.  Returns ``F`` (``F[b] =
+    vectors[b] @ L_b``), the rows ``vec(E_b)`` and ``vec(K_b)``, and the
+    clipped components.
     """
-    dim = vectors.shape[0]
+    dim, r = vectors.shape
+    sizes = np.fromiter(map(len, part.blocks), np.intp, len(part))
+    order = np.concatenate(part.blocks)
+    W = vectors[order]
+    starts = np.cumsum(sizes) - sizes
+    gram = np.add.reduceat(W[:, :, None] * W[:, None, :], starts, axis=0)
+    _, pop, cross, clip = _recover_side(gram, cos, sin, sizes[:, None] / dim)
+    L, K = _solve_side(gram, cross)
     F = np.empty_like(vectors)
-    E, K, clipped = [], [], set()
-    for idx in part.blocks:
-        gram = weighted_gram(vectors, WeightOperator.from_indices(idx, dim))
-        _, pop, cross, clip = _recover_side(gram, cos, sin, idx.size / dim)
-        L, K_b = _solve_side(gram, cross)
-        F[idx] = vectors[idx] @ L
-        E.append(pop.ravel())
-        K.append(K_b.ravel())
-        clipped.update(clip.tolist())
-    return F, np.array(E), np.array(K), clipped
+    F[order] = np.einsum("ij,ijk->ik", W, np.repeat(L, sizes, axis=0))
+    return F, pop.reshape(sizes.size, r * r), K.reshape(sizes.size, r * r), set(clip.tolist())
 
 
 def optimal_coefficients(geom: WeightedGeometry) -> np.ndarray:

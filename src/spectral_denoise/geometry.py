@@ -211,12 +211,17 @@ def _empty_geometry(mu: float, nu: float) -> WeightedGeometry:
 
 
 def _recover_side(gram, cos, sin, mass):
-    """One side of :func:`recover_population_geometry`: ``(alpha, E, C, clipped)``."""
-    energy_raw = (np.diag(gram) - sin**2 * mass) / cos**2
-    clip = np.nonzero(energy_raw < ALPHA_FLOOR)[0]
+    """One side of :func:`recover_population_geometry`: ``(alpha, E, C, clipped)``.
+
+    ``gram`` may be a ``(..., r, r)`` stack with ``mass`` broadcasting
+    against ``(..., r)``; ``clipped`` holds the clipped component indices.
+    """
+    energy_raw = (np.diagonal(gram, axis1=-2, axis2=-1) - sin**2 * mass) / cos**2
+    clip = np.nonzero(energy_raw < ALPHA_FLOOR)[-1]
     energy = np.maximum(energy_raw, ALPHA_FLOOR)
     pop = gram / np.outer(cos, cos)
-    np.fill_diagonal(pop, energy)
+    diag = np.arange(cos.size)
+    pop[..., diag, diag] = energy
     cross = cos[:, None] * pop
     return energy, pop, cross, clip
 

@@ -8,11 +8,11 @@ pairs, as is the globally detected rank.  For unweighted loss the result
 is asymptotically never worse than singular value shrinkage.
 
 The weighted solve, in ``denoise`` with :class:`LocalizedResult`, splits
-into a row-side and a column-side factor, so it runs once per row block
-and once per column block, never per pair: the estimate is a single
-product ``(A diag(t)) B^T`` and the tile errors a single
-``Phi Psi^T - P Q^T``.  Fine partitions therefore cost about as much as
-the shared SVD, and one ``SpectralFit`` serves many partitions.
+into a row-side and a column-side factor, never a per-pair one; each side
+solves all its blocks' ``r x r`` Grams as one stack, in one call.  The
+estimate is a single product ``(A diag(t)) B^T`` and the tile errors a
+single ``Phi Psi^T - P Q^T``.  Fine partitions therefore cost about as
+much as the shared SVD, and one ``SpectralFit`` serves many partitions.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ def localized_denoise(Y, rows: Partition, cols: Partition,
 
     The SVD and detected rank are computed once from ``Y`` and shared by
     all block pairs; only the weighted Grams and the small least-squares
-    solve differ per block.  Tile ``(i, j)`` of the output is exactly the
-    corresponding tile of that pair's spectral denoiser, and the error
-    estimates add across tiles.
+    solve differ per block, each side solving all its blocks in one call.
+    Tile ``(i, j)`` of the output is the corresponding tile of that pair's
+    spectral denoiser, and the error estimates add across tiles.
     """
     return spectral_fit(Y, rank, margin).localized(rows, cols)

@@ -194,6 +194,7 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
     separated population values and does not cover exact ties.
     """
     gamma = _check_gamma(gamma)
+    margin = _check_margin(margin)
     sv = _check_spectrum(singular_values)
     if rank is None:
         rank = naive_rank(sv, gamma, margin=margin)

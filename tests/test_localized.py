@@ -5,7 +5,8 @@ import pytest
 
 from spectral_denoise import (DimensionMismatchError, Partition, WeightOperator,
                               localized_denoise, make_equispaced_partition,
-                              spectral_denoise, svs_shrink)
+                              spectral_denoise, spectral_fit, svs_shrink)
+from spectral_denoise import denoise
 from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (SignalSpec, gen_signal, two_block_vectors,
                                      weighted_loss)
@@ -126,8 +127,21 @@ class TestLocalizedDenoise:
             Partition.from_lists(150, np.split(perm_r, [17, 107])),
             Partition.from_lists(180, np.split(perm_c, [5, 65])))
         even = (make_equispaced_partition(150, 3), make_equispaced_partition(180, 2))
-        for rows, cols in (even, scattered):
+        singletons = (make_equispaced_partition(150, 150), make_equispaced_partition(180, 2))
+        # Row blocks of 2-3 rows, fewer than the rank 5: their Grams are
+        # singular, and the stacked and per-pair sums round the eigenvalues
+        # near the pseudoinverse cutoff differently, so these tiles are held
+        # to 1e-8 of the largest entry instead of 1e-12.
+        thin = (make_equispaced_partition(150, 60), make_equispaced_partition(180, 2))
+        for (rows, cols), thin_rel in ((even, None), (scattered, None),
+                                       (singletons, None), (thin, 1e-8)):
             loc = localized_denoise(Y, rows, cols)
+            if thin_rel is None:
+                tile_tol = dict(atol=1e-12)
+                amse_tol = dict(rel=1e-12, abs=1e-12)
+            else:
+                tile_tol = dict(rtol=0, atol=thin_rel * np.abs(loc.estimate).max())
+                amse_tol = dict(rel=0, abs=thin_rel * loc.tile_amse.max())
             clipped = set()
             for i, rb in enumerate(rows.blocks):
                 for j, cb in enumerate(cols.blocks):
@@ -136,11 +150,38 @@ class TestLocalizedDenoise:
                     pair = spectral_denoise(Y, om, pi, rank=loc.rank)
                     tile = loc.estimate[np.ix_(rb, cb)]
                     ref = pair.estimate[np.ix_(rb, cb)]
-                    assert np.allclose(tile, ref, atol=1e-12)
+                    assert np.allclose(tile, ref, **tile_tol)
                     assert loc.tile_amse[i, j] == pytest.approx(
-                        pair.amse_estimate, rel=1e-12, abs=1e-12)
+                        pair.amse_estimate, **amse_tol)
                     clipped.update(pair.clipped_components)
             assert loc.clipped_components == tuple(sorted(clipped))
+
+    def test_one_pseudoinverse_per_side(self, monkeypatch):
+        # The block Grams of a partition are solved as one stack per side,
+        # so the number of solves does not grow with the partition.
+        rng = np.random.default_rng(25)
+        X, Y = _spiked_instance(rng, 100, 120)
+        fit = spectral_fit(Y)
+        sym_pinv = denoise._sym_pinv
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return sym_pinv(m)
+
+        monkeypatch.setattr(denoise, "_sym_pinv", counted)
+        for nr, nc in ((1, 1), (4, 5), (50, 60)):
+            calls.clear()
+            fit.localized(make_equispaced_partition(100, nr),
+                          make_equispaced_partition(120, nc))
+            assert len(calls) == 2
+
+        # A stack, singular members included, is inverted matrix by matrix.
+        W = rng.standard_normal((8, 4, 3))
+        W[::2, 2:] = 0.0
+        grams = np.swapaxes(W, 1, 2) @ W
+        stacked = sym_pinv(grams)
+        assert all(np.array_equal(stacked[b], sym_pinv(grams[b])) for b in range(8))
 
     def test_amse_is_sum_of_tiles(self):
         rng = np.random.default_rng(23)

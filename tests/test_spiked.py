@@ -151,6 +151,11 @@ class TestEstimateSpikeParams:
         with pytest.raises(ValueError, match="margin"):
             estimate_spike_params([3.0, 2.5], 1.0, margin=margin)
 
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -4.0])
+    def test_bad_margin_rejected_with_forced_rank(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            estimate_spike_params([3.0, 2.5], 1.0, rank=1, margin=margin)
+
 
 @pytest.mark.slow
 def test_monte_carlo_consistency():
