@@ -9,14 +9,19 @@ Squaring puts an absolute error of about ``eps * min(p, n) * s_1**2`` on
 each eigenvalue.  When that is not far below the smallest square relied
 on (``tau**2``, or ``s_k**2`` for a forced rank), or ``s_k == 0``, the
 full LAPACK SVD runs instead and ``spectrum`` is the whole spectrum.
-``Y`` is made C-contiguous first, so its memory layout does not change
-the result's bytes.
+
+``Y`` is made C-contiguous, so its layout does not change the result's
+bytes, and BLAS ``dsyrk`` (the Gram's upper triangle) and ``dgemm``
+(``A^T Q``) read its transpose in place; f2py would copy ``Y`` itself.
+They and ``dsyevr`` all run in scipy's OpenBLAS: numpy bundles a second
+one, whose threads spin on after a call and compete.  No thread count is set.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dgemm, dsyrk
 
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
 #: to the smallest square it must resolve.
@@ -37,18 +42,16 @@ def _gram_head(Y: np.ndarray, floor: float | None, **subset):
     """
     p, n = Y.shape
     wide = p <= n
-    Y = np.ascontiguousarray(Y)
-    A = Y if wide else Y.T
-    # The Gram is symmetric, so its transpose is the same matrix in the
-    # Fortran order LAPACK works on in place.
-    w, Q = eigh((A @ A.T).T, driver="evr", overwrite_a=True, check_finite=False, **subset)
+    F = np.ascontiguousarray(Y).T
+    G = dsyrk(1.0, F, trans=wide)
+    w, Q = eigh(G, lower=False, driver="evr", overwrite_a=True, check_finite=False, **subset)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     if s.size:
         floor = s[-1] if floor is None else floor
-        if s[-1] == 0 or np.finfo(float).eps * A.shape[0] * s[0]**2 > _GRAM_RTOL * floor**2:
+        if s[-1] == 0 or np.finfo(float).eps * G.shape[0] * s[0]**2 > _GRAM_RTOL * floor**2:
             return None
     Q = np.ascontiguousarray(Q[:, ::-1])
-    P = (A.T @ Q) / s
+    P = np.ascontiguousarray(dgemm(1.0, F, Q, trans_a=not wide) / s)
     return (Q, s, P, s) if wide else (P, s, Q, s)
 
 
@@ -77,8 +80,10 @@ def svd_head_above(Y: np.ndarray, threshold: float):
     the whole spectrum (dense fallback).
     """
     threshold = float(threshold)
-    if not threshold >= 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0 <= threshold < np.inf:
+        raise ValueError("threshold must be finite and nonnegative")
+    if min(Y.shape) == 0:
+        return top_svd(Y, 0)
     head = _gram_head(Y, threshold, subset_by_value=(threshold**2, np.inf))
     U, s, V, spectrum = _dense(Y, min(Y.shape)) if head is None else head
     # dsyevr may also return an eigenvalue that rounds onto the boundary.

@@ -13,6 +13,7 @@ denoiser in the package starts from.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ def _check_margin(margin: float) -> float:
     if not (np.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     return margin
+
+
+def _check_rank(rank) -> int:
+    if isinstance(rank, bool) or not hasattr(type(rank), "__index__"):
+        raise ValueError(f"rank must be an integer, got {rank!r}")
+    return operator.index(rank)
 
 
 def _check_t(t) -> np.ndarray:
@@ -199,7 +206,7 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
     if rank is None:
         rank = naive_rank(sv, gamma, margin=margin)
     else:
-        rank = int(rank)
+        rank = _check_rank(rank)
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if rank > sv.size:

@@ -277,6 +277,12 @@ class TestSpectralFit:
             assert _same(fit.localized(rows, cols), localized_denoise(Y, rows, cols))
         assert np.array_equal(fit.U, U) and np.array_equal(fit.V, V)
 
+    @pytest.mark.parametrize("rank", [2.7, 2.0, "2", True, np.nan])
+    def test_non_integer_rank_rejected(self, rank):
+        _, Y = self._instance()
+        with pytest.raises(ValueError, match="rank"):
+            spectral_fit(Y, rank=rank)
+
     @pytest.mark.parametrize("margin", [np.nan, np.inf, -0.5])
     @pytest.mark.parametrize("rank", [None, 1])
     def test_bad_margin_rejected_before_svd(self, monkeypatch, margin, rank):

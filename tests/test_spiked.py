@@ -156,6 +156,14 @@ class TestEstimateSpikeParams:
         with pytest.raises(ValueError, match="margin"):
             estimate_spike_params([3.0, 2.5], 1.0, rank=1, margin=margin)
 
+    @pytest.mark.parametrize("rank", [1.9, 2.0, "2", True, np.nan])
+    def test_non_integer_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            estimate_spike_params([3.0, 2.5], 0.5, rank=rank)
+
+    def test_numpy_integer_rank_accepted(self):
+        assert estimate_spike_params([3.0, 2.5], 0.5, rank=np.int64(2)).rank == 2
+
 
 @pytest.mark.slow
 def test_monte_carlo_consistency():

@@ -11,9 +11,12 @@ headroom):
 * residuals: ``||Y v - s u|| <= RESID_RTOL * s_1`` for every triplet.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spectral_denoise import spectral_fit
 from spectral_denoise._svd import svd_head_above, top_svd
 
 S_RTOL = 1e-12
@@ -143,3 +146,51 @@ def test_huge_spike_takes_dense_fallback(shape):
 def test_negative_threshold_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         svd_head_above(np.ones((3, 4)), -1.0)
+
+
+@pytest.mark.parametrize("threshold", [np.inf, np.nan])
+def test_nonfinite_threshold_rejected(threshold):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        svd_head_above(np.ones((3, 4)), threshold)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+def test_empty_matrix_has_empty_head(shape, capfd):
+    U, s, V, spectrum = svd_head_above(np.zeros(shape), 1.0)
+    assert U.shape == (shape[0], 0) and V.shape == (shape[1], 0)
+    assert s.size == spectrum.size == 0
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("shape", [(200, 2000), (2000, 200)])
+def test_gram_path_does_not_copy_y(shape):
+    # BLAS reads the Fortran-ordered view Y.T in place; a copy of Y
+    # alone would take Y.nbytes.  The Gram and dsyevr's eigenvector
+    # buffer take min(p, n)**2 doubles each, a tenth of Y each here.
+    Y = spiked(np.random.default_rng(8), *shape)
+    assert Y.flags.c_contiguous
+    tau = edge(*shape)
+    for run in (lambda: svd_head_above(Y, tau), lambda: top_svd(Y, 3)):
+        tracemalloc.start()
+        try:
+            spectrum = run()[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectrum.size == 3  # the Gram path ran
+        assert peak < Y.nbytes / 2
+
+
+@pytest.mark.parametrize("shape", [(80, 150), (150, 80)])
+def test_repeated_calls_give_same_bytes(shape):
+    Y = spiked(np.random.default_rng(9), *shape)
+    tau = edge(*shape)
+
+    def shrink():
+        res = spectral_fit(Y).denoise()
+        return res.left, res.right, res.estimate
+
+    for run in (lambda: svd_head_above(Y, tau), lambda: top_svd(Y, 4), shrink):
+        first, second = run(), run()
+        for x, y in zip(first, second):
+            assert x.tobytes() == y.tobytes()
