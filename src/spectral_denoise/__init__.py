@@ -17,7 +17,7 @@ from .denoise import (DenoiseResult, ShrinkageReport, SpectralFit, amse_estimate
                       optimal_coefficients, spectral_denoise, spectral_fit, svs_shrink)
 from .errors import (BelowDetectionThresholdError, DegenerateEstimateError,
                      DimensionMismatchError, IllConditionedRecoveryError,
-                     SpectralDenoiseError, UndefinedMetricError)
+                     MatrixFileError, SpectralDenoiseError, UndefinedMetricError)
 from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram)
 from .localized import (LocalizedResult, Partition, localized_denoise,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "BelowDetectionThresholdError", "DegenerateEstimateError",
     "DimensionMismatchError", "IllConditionedRecoveryError",
-    "SpectralDenoiseError", "UndefinedMetricError",
+    "MatrixFileError", "SpectralDenoiseError", "UndefinedMetricError",
     "SpikeParams", "bulk_edge", "cosines", "detection_point",
     "estimate_spike_params", "forward_singular_value",
     "invert_singular_value", "naive_rank",

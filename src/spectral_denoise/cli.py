@@ -79,12 +79,12 @@ def _weight_from_args(args, side: str, dim: int):
     return None
 
 
-def _finish(args, estimate, result_for_report, extra=None) -> int:
+def _finish(args, estimate, result, extra=None) -> int:
     io.write_dense_csv(args.output, estimate)
     if args.report:
         config = {k: v for k, v in vars(args).items()
                   if k != "func" and not k.startswith("_")}
-        report = io.build_report(args.command, config, result_for_report, extra=extra)
+        report = io.build_report(args.command, config, result, extra=extra)
         io.write_report_json(args.report, report)
     return EXIT_OK
 
@@ -124,9 +124,7 @@ def _cmd_submatrix(args) -> int:
     cols = io.read_index_json(args.cols)
     run = shrink_submatrix_baseline if args.baseline else submatrix_denoise
     res = run(Y, rows, cols, rank=args.rank, margin=args.margin)
-    return _finish(args, res.estimate, res.denoise,
-                   extra={"baseline": args.baseline,
-                          "amse_estimate": res.amse_estimate})
+    return _finish(args, res.estimate, res, extra={"baseline": args.baseline})
 
 
 def _covariance_from_file(path) -> np.ndarray:
@@ -147,7 +145,7 @@ def _cmd_whiten(args) -> int:
         cov = NoiseCovariances(_covariance_from_file(args.cov_s),
                                _covariance_from_file(args.cov_t))
     res = whiten_denoise(Y, cov, rank=args.rank, margin=args.margin)
-    return _finish(args, res.estimate, res.denoise,
+    return _finish(args, res.estimate, res,
                    extra={"estimated_covariances": bool(args.estimate_cov)})
 
 
@@ -170,7 +168,7 @@ def _cmd_complete(args) -> int:
     estimate *= args.noise_sd
     extra = {"observed_entries": int(pattern.mask.sum()),
              "amse_estimate": float(res.amse_estimate * args.noise_sd**2)}
-    return _finish(args, estimate, res.denoise, extra=extra)
+    return _finish(args, estimate, res, extra=extra)
 
 
 def _cmd_simulate(args) -> int:

@@ -23,7 +23,7 @@ from ._svd import svd_head_above, top_svd
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
-                       _check_cosines, _empty_geometry, _recover_side)
+                       _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
                      forward_singular_value, _check_margin, _check_rank)
 
@@ -48,10 +48,8 @@ PINV_RCOND = 1e-8
 
 def _sym_pinv(m: np.ndarray) -> np.ndarray:
     """Pseudoinverse of a symmetric PSD matrix, or of each in a ``(..., r, r)`` stack."""
-    if m.size == 0:
-        return m.copy()
     vals, vecs = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
-    cutoff = PINV_RCOND * np.maximum(np.max(np.abs(vals), axis=-1, keepdims=True),
+    cutoff = PINV_RCOND * np.maximum(np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0),
                                      np.finfo(float).tiny)
     inv = np.where(np.abs(vals) > cutoff, 1.0 / np.where(vals == 0, 1.0, vals), 0.0)
     return (vecs * inv[..., None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -96,8 +94,9 @@ class LocalizedResult(_FactoredResult):
 
     ``left @ right.T`` is the estimate, with ``left = A diag(t)`` and
     ``right = B``.  ``tile_amse[i, j]`` is the estimated weighted error of
-    the block pair ``(i, j)``; ``amse_estimate`` is their sum, which
-    estimates the total unweighted squared error.
+    the block pair ``(i, j)``, clamped at 0 as in :class:`DenoiseResult`
+    (``amse_clamped`` records whether any tile was); ``amse_estimate`` is
+    their sum, which estimates the total unweighted squared error.
     """
 
     left: np.ndarray
@@ -106,6 +105,7 @@ class LocalizedResult(_FactoredResult):
     spikes: SpikeParams
     tile_amse: np.ndarray
     clipped_components: tuple = field(default=())
+    amse_clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,13 +180,17 @@ def _amse_raw(geom: WeightedGeometry) -> float:
     return _solve(geom)[1]
 
 
-def amse_estimate(geom: WeightedGeometry) -> float:
-    """Plug-in asymptotic weighted MSE of the optimal spectral denoiser.
+def _clamp_amse(raw):
+    """Plug-in AMSE values clamped at 0, and whether any was negative.
 
-    The limit quantity is a squared norm; negative values produced by
-    round-off are clamped to 0.
+    The limit quantity is a squared norm, so a negative value is round-off.
     """
-    return max(_amse_raw(geom), 0.0)
+    return np.maximum(raw, 0.0), bool(np.any(raw < 0))
+
+
+def amse_estimate(geom: WeightedGeometry) -> float:
+    """Plug-in asymptotic weighted MSE of the optimal spectral denoiser, clamped at 0."""
+    return float(_clamp_amse(_amse_raw(geom))[0])
 
 
 def _as_matrix(Y) -> np.ndarray:
@@ -266,19 +270,16 @@ class SpectralFit:
         (p, n), U, V, spikes = self.shape, self.U, self.V, self.spikes
         omega = as_weight_operator(omega, p)
         pi = as_weight_operator(pi, n)
-        mu = trace_weight(omega, p)
-        nu = trace_weight(pi, n)
-        if spikes.rank == 0:
-            return DenoiseResult(np.zeros((0, 0)), U, V, 0.0, spikes, _empty_geometry(mu, nu))
-
         if omega.kind == pi.kind == "identity":
             geom = _identity_geometry(spikes)
         else:
             geom = recover_population_geometry(weighted_gram(U, omega), weighted_gram(V, pi),
-                                               spikes, mu, nu)
+                                               spikes, trace_weight(omega, p),
+                                               trace_weight(pi, n))
         coeff, raw = solve(geom, spikes)
-        return DenoiseResult(coeff, U @ coeff, V, max(raw, 0.0), spikes, geom,
-                             geom.clipped, raw < 0)
+        amse, clamped = _clamp_amse(raw)
+        return DenoiseResult(coeff, U @ coeff, V, float(amse), spikes, geom,
+                             geom.clipped, clamped)
 
     def denoise(self, omega=None, pi=None) -> DenoiseResult:
         """Optimal spectral denoiser for these weights; see :func:`spectral_denoise`."""
@@ -302,9 +303,9 @@ class SpectralFit:
         B, Psi, Q, clip_cols = _block_sides(self.V, cols, spikes.c_tilde, spikes.s_tilde)
         t = spikes.t
         tt = np.outer(t, t).ravel()
-        tile_amse = np.maximum((Phi * tt) @ Psi.T - (P * tt) @ Q.T, 0.0)
+        tile_amse, clamped = _clamp_amse((Phi * tt) @ Psi.T - (P * tt) @ Q.T)
         return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
-                               tuple(sorted(clip_rows | clip_cols)))
+                               tuple(sorted(clip_rows | clip_cols)), clamped)
 
     def submatrix(self, row_idx, col_idx) -> PipelineResult:
         """Submatrix denoiser on this fit; see ``applications.submatrix_denoise``."""
@@ -344,8 +345,8 @@ def spectral_denoise(Y, omega=None, pi=None, rank: int | None = None,
         Additive safety margin on the detection threshold.
 
     With uniform weights the result coincides with singular value
-    shrinkage.  A detected rank of 0 returns the zero matrix with a zero
-    error estimate.
+    shrinkage.  A detected rank of 0 is the ``r = 0`` case of the same
+    solve: the zero matrix with a zero error estimate.
     """
     return spectral_fit(Y, rank, margin).denoise(omega, pi)
 

@@ -31,3 +31,7 @@ class DegenerateEstimateError(SpectralDenoiseError):
 
 class UndefinedMetricError(SpectralDenoiseError):
     """A metric's denominator is zero."""
+
+
+class MatrixFileError(SpectralDenoiseError):
+    """A matrix, index, partition or config file could not be parsed."""

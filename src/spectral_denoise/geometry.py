@@ -203,13 +203,6 @@ class WeightedGeometry:
                 raise ValueError(f"WeightedGeometry.{name} must have length {r}")
 
 
-def _empty_geometry(mu: float, nu: float) -> WeightedGeometry:
-    z = np.zeros((0, 0))
-    v = np.zeros(0)
-    return WeightedGeometry(0, v, z, z.copy(), z.copy(), z.copy(), z.copy(), z.copy(),
-                            mu, nu, v.copy(), v.copy())
-
-
 def _recover_side(gram, cos, sin, mass):
     """One side of :func:`recover_population_geometry`: ``(alpha, E, C, clipped)``.
 
@@ -260,8 +253,6 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
     nu = float(nu)
     if mu <= 0 or nu <= 0:
         raise ValueError("normalized weight traces mu, nu must be positive")
-    if r == 0:
-        return _empty_geometry(mu, nu)
 
     _check_cosines(spikes)
     alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, MatrixFileError
 
 __all__ = [
     "read_dense_csv",
@@ -37,10 +37,6 @@ __all__ = [
     "validate_report",
     "REPORT_REQUIRED_KEYS",
 ]
-
-
-class MatrixFileError(ValueError):
-    """A matrix file could not be parsed."""
 
 
 _COORDINATE_DTYPE = [("r", np.intp), ("c", np.intp), ("v", float)]
@@ -197,40 +193,40 @@ REPORT_REQUIRED_KEYS = ("schema", "version", "command", "config", "rank",
 REPORT_SCHEMA_VERSION = 1
 
 
-def build_report(command: str, config: dict, result=None, extra: dict | None = None) -> dict:
-    """Assemble the JSON report for one CLI invocation."""
+def build_report(command: str, config: dict, result, extra: dict | None = None) -> dict:
+    """Assemble the JSON report for one CLI invocation from the result it returns.
+
+    Spikes, clipped components and geometry come from the fit: the result
+    itself, or a pipeline result's inner ``denoise``.  ``amse_estimate`` is
+    always the returned result's own, so a pipeline reports the error of
+    the matrix it wrote.  ``extra`` keys are added last and win.
+    """
+    fit = getattr(result, "denoise", result)
+    spikes = fit.spikes
     report = {
         "schema": REPORT_SCHEMA_VERSION,
         "version": __version__,
         "command": command,
         "config": config,
-        "rank": 0,
-        "gamma": None,
-        "amse_estimate": 0.0,
-        "clipped_components": [],
+        "rank": int(spikes.rank),
+        "gamma": float(spikes.gamma),
+        "amse_estimate": float(result.amse_estimate),
+        "clipped_components": [int(i) for i in fit.clipped_components],
+        "spike": {
+            "observed": spikes.observed.tolist(),
+            "t": spikes.t.tolist(),
+            "c": spikes.c.tolist(),
+            "c_tilde": spikes.c_tilde.tolist(),
+        },
     }
-    if result is not None:
-        spikes = result.spikes
-        report.update({
-            "rank": int(spikes.rank),
-            "gamma": float(spikes.gamma),
-            "amse_estimate": float(result.amse_estimate),
-            "clipped_components": [int(i) for i in result.clipped_components],
-            "spike": {
-                "observed": spikes.observed.tolist(),
-                "t": spikes.t.tolist(),
-                "c": spikes.c.tolist(),
-                "c_tilde": spikes.c_tilde.tolist(),
-            },
-        })
-        geom = getattr(result, "geometry", None)
-        if geom is not None:
-            report["geometry"] = {
-                "mu": float(geom.mu),
-                "nu": float(geom.nu),
-                "alpha": geom.alpha.tolist(),
-                "beta": geom.beta.tolist(),
-            }
+    geom = getattr(fit, "geometry", None)
+    if geom is not None:
+        report["geometry"] = {
+            "mu": float(geom.mu),
+            "nu": float(geom.nu),
+            "alpha": geom.alpha.tolist(),
+            "beta": geom.beta.tolist(),
+        }
     if extra:
         report.update(extra)
     return report

@@ -10,18 +10,19 @@ from ..geometry import as_weight_operator
 __all__ = ["relative_error", "weighted_loss"]
 
 
+def _two_sided(M, omega, pi) -> np.ndarray:
+    """``W_r M W_c^T`` for weights as :func:`as_weight_operator` accepts them."""
+    p, n = M.shape
+    return as_weight_operator(pi, n).apply(as_weight_operator(omega, p).apply(M).T).T
+
+
 def weighted_loss(A, B, omega=None, pi=None) -> float:
     """Squared weighted Frobenius distance ``||W_r (A - B) W_c^T||_F**2``."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise DimensionMismatchError(f"shape mismatch: {A.shape} vs {B.shape}")
-    p, n = A.shape
-    om = as_weight_operator(omega, p)
-    pm = as_weight_operator(pi, n)
-    diff = om.apply(A - B)
-    diff = pm.apply(diff.T).T
-    return float(np.sum(diff**2))
+    return float(np.sum(_two_sided(A - B, omega, pi)**2))
 
 
 def relative_error(X_hat, X, omega=None, pi=None) -> float:
@@ -34,12 +35,7 @@ def relative_error(X_hat, X, omega=None, pi=None) -> float:
     X = np.asarray(X, dtype=float)
     if X_hat.shape != X.shape:
         raise DimensionMismatchError(f"shape mismatch: {X_hat.shape} vs {X.shape}")
-    p, n = X.shape
-    om = as_weight_operator(omega, p)
-    pm = as_weight_operator(pi, n)
-    ref = pm.apply(om.apply(X).T).T
-    denom = np.linalg.norm(ref)
+    denom = np.linalg.norm(_two_sided(X, omega, pi))
     if denom == 0:
         raise UndefinedMetricError("reference matrix has zero weighted norm")
-    diff = pm.apply(om.apply(X_hat - X).T).T
-    return float(np.linalg.norm(diff) / denom)
+    return float(np.linalg.norm(_two_sided(X_hat - X, omega, pi)) / denom)

@@ -63,9 +63,7 @@ def resolve_config(config) -> dict:
         raise ValueError("scale must be positive")
     if scale != 1.0:
         params = scenario.apply_scale(params, scale)
-    replicates = int(round(int(config.get("replicates", 20)) * scale)) \
-        if scale != 1.0 else int(config.get("replicates", 20))
-    replicates = max(1, replicates)
+    replicates = max(1, int(round(int(config.get("replicates", 20)) * scale)))
     return {
         "schema": CONFIG_SCHEMA_VERSION,
         "scenario": name,
@@ -137,20 +135,14 @@ def _format_cell(value):
 
 
 def _aggregate(rows: list[dict], group_keys: list[str], columns: list[str]) -> list[dict]:
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # insertion-ordered: groups come out in first-row order
     for row in rows:
-        key = tuple(row[k] for k in group_keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
     metric_cols = [c for c in columns
                    if c not in group_keys + ["replicate", "seed"]
                    and not isinstance(rows[0].get(c), str)]
     out = []
-    for key in order:
-        block = groups[key]
+    for key, block in groups.items():
         metrics = {}
         for c in metric_cols:
             vals = np.array([float(r[c]) for r in block])

@@ -264,9 +264,7 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
         Y = sig.X + noise
         res_oracle = spectral_denoise(Y, omega, pi, rank=oracle_rank)
         res_naive = spectral_fit(Y).denoise(omega, pi)
-        wrel = lambda est: relative_error(est, sig.X,
-                                          omega=np.linspace(1.0 / p, 1.0, p),
-                                          pi=np.linspace(1.0 / p, 1.0 / gamma, n))
+        wrel = lambda est: relative_error(est, sig.X, omega=omega, pi=pi)
         out.append({
             "dist": str(dist),
             "naive_rank": res_naive.rank,

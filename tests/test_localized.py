@@ -117,6 +117,24 @@ class TestLocalizedDenoise:
                                 make_equispaced_partition(90, 2))
         assert np.all(loc.estimate == 0) and loc.amse_estimate == 0.0
 
+    def test_tile_amse_clamp_is_recorded(self):
+        # 500x1000 rank 3: at 100x100 blocks some tiles' raw plug-in error
+        # falls below 0 by round-off and is clamped; at 4x4 none does.
+        p, n, r = 500, 1000, 3
+        rng = np.random.default_rng(3)
+        U, _ = np.linalg.qr(rng.standard_normal((p, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        t = (p / n) ** 0.25 + 1.5 + np.arange(r, dtype=float)[::-1]
+        Y = (U * t) @ V.T + rng.standard_normal((p, n)) / np.sqrt(n)
+        fit = spectral_fit(Y, margin=0.05)
+        assert fit.spikes.rank == r
+        fine = fit.localized(make_equispaced_partition(p, 100),
+                             make_equispaced_partition(n, 100))
+        coarse = fit.localized(make_equispaced_partition(p, 4),
+                               make_equispaced_partition(n, 4))
+        assert fine.amse_clamped is True and np.any(fine.tile_amse == 0)
+        assert coarse.amse_clamped is False and np.all(coarse.tile_amse > 0)
+
     def test_tiles_equal_per_pair_denoisers(self):
         rng = np.random.default_rng(21)
         X, Y = _spiked_instance(rng, 150, 180, kind="block_image")
