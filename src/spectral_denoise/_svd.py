@@ -36,14 +36,16 @@ def _dense(Y: np.ndarray, k: int):
 def _gram_head(Y: np.ndarray, floor: float | None, **subset):
     """Descending ``(U, s, V, s)`` for the Gram eigenvalues in ``subset``.
 
-    None when they are unresolved: the smallest is 0, or the squaring
-    error is not far below ``floor**2`` (``floor`` defaults to the
-    smallest value found).
+    None when they are unresolved: the Gram overflows, the smallest is 0,
+    or the squaring error is not far below ``floor**2`` (``floor``
+    defaults to the smallest value found).
     """
     p, n = Y.shape
     wide = p <= n
     F = np.ascontiguousarray(Y).T
     G = dsyrk(1.0, F, trans=wide)
+    if not np.isfinite(G.diagonal()).all():  # eigh would drop the overflowed values
+        return None
     w, Q = eigh(G, lower=False, driver="evr", overwrite_a=True, check_finite=False, **subset)
     s = np.sqrt(np.maximum(w[::-1], 0.0))
     if s.size:

@@ -210,74 +210,61 @@ def snr_gain_tau(cov: NoiseCovariances) -> float:
 
 
 class SamplingPattern:
-    """Entry-sampling design and the observed values of a noisy matrix.
+    """Entry-sampling design and the observed entries of a noisy matrix.
 
     Rows are sampled with probabilities ``q_row`` and columns with
     ``q_col`` (entry ``(i, j)`` observed with probability
     ``q_row[i] * q_col[j]``); all probabilities must be strictly positive
-    so the inverse square-root scalings exist.  ``values`` holds the
-    observed entries in row-major mask order.
+    so the inverse square-root scalings exist.  The observed entries are
+    ``values[k]`` at ``(rows[k], cols[k])``, distinct coordinates in any
+    order; nothing of size ``p x n`` is stored.
     """
 
-    def __init__(self, q_row, q_col, mask, values):
+    def __init__(self, q_row, q_col, rows, cols, values):
         self.q_row = np.asarray(q_row, dtype=float)
         self.q_col = np.asarray(q_col, dtype=float)
-        self.mask = np.asarray(mask, dtype=bool)
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
         self.values = np.asarray(values, dtype=float)
         if self.q_row.ndim != 1 or self.q_col.ndim != 1:
             raise ValueError("q_row and q_col must be 1-D probability vectors")
         for name, q in (("q_row", self.q_row), ("q_col", self.q_col)):
             if not np.all((q > 0) & (q <= 1)):  # NaN fails both comparisons
                 raise ValueError(f"{name}: sampling probabilities must lie in (0, 1]")
-        if self.mask.shape != (self.q_row.size, self.q_col.size):
-            raise DimensionMismatchError(
-                f"mask shape {self.mask.shape} does not match probability "
-                f"vectors ({self.q_row.size}, {self.q_col.size})")
-        count = int(self.mask.sum())
-        if self.values.shape != (count,):
-            raise ValueError(
-                f"got {self.values.size} observed values for {count} sampled entries")
+        if not (self.rows.shape == self.cols.shape == self.values.shape) or self.rows.ndim != 1:
+            raise ValueError("rows, cols, values must be 1-D and the same length")
+        p, n = self.shape
+        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= p
+                               or self.cols.min() < 0 or self.cols.max() >= n):
+            raise ValueError("coordinate indices out of range")
+        if np.any(np.diff(np.sort(self.rows * n + self.cols)) == 0):
+            raise ValueError("duplicate coordinates in sampling pattern")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values: observed entries must be finite")
 
     @property
     def shape(self):
-        return self.mask.shape
+        return (self.q_row.size, self.q_col.size)
 
     @classmethod
     def from_dense(cls, full, mask, q_row, q_col) -> "SamplingPattern":
         full = np.asarray(full, dtype=float)
         mask = np.asarray(mask, dtype=bool)
-        if full.shape != mask.shape:
-            raise DimensionMismatchError("matrix and mask shapes differ")
-        return cls(q_row, q_col, mask, full[mask])
+        shape = (np.size(q_row), np.size(q_col))
+        if not full.shape == mask.shape == shape:
+            raise DimensionMismatchError(f"matrix {full.shape} and mask {mask.shape} must "
+                                         f"match the probability vectors {shape}")
+        return cls(q_row, q_col, *np.nonzero(mask), full[mask])
 
     @classmethod
     def from_coordinates(cls, rows, cols, values, q_row, q_col) -> "SamplingPattern":
-        q_row = np.asarray(q_row, dtype=float)
-        q_col = np.asarray(q_col, dtype=float)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        values = np.asarray(values, dtype=float)
-        if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
-            raise ValueError("rows, cols, values must be 1-D and the same length")
-        p, n = q_row.size, q_col.size
-        if rows.size and (rows.min() < 0 or rows.max() >= p
-                          or cols.min() < 0 or cols.max() >= n):
-            raise ValueError("coordinate indices out of range")
-        mask = np.zeros((p, n), dtype=bool)
-        dense = np.zeros((p, n))
-        mask[rows, cols] = True
-        dense[rows, cols] = values
-        if mask.sum() != rows.size:
-            raise ValueError("duplicate coordinates in sampling pattern")
-        return cls(q_row, q_col, mask, dense[mask])
+        return cls(q_row, q_col, rows, cols, values)
 
 
 def backproject(pattern: SamplingPattern) -> np.ndarray:
     """Adjoint of the sampling operator: observed values in place, zeros elsewhere."""
     out = np.zeros(pattern.shape)
-    out[pattern.mask] = pattern.values
+    out[pattern.rows, pattern.cols] = pattern.values
     return out
 
 
@@ -320,10 +307,9 @@ def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
     inv_r = 1.0 / np.sqrt(pattern.q_row)
     inv_c = 1.0 / np.sqrt(pattern.q_col)
     n = pattern.q_col.size
-    scaled = backproject(pattern)
-    scaled *= inv_r[:, None]
-    scaled *= inv_c[None, :]
-    scaled /= np.sqrt(n)
+    rows, cols = pattern.rows, pattern.cols
+    scaled = np.zeros(pattern.shape)
+    scaled[rows, cols] = pattern.values * inv_r[rows] * inv_c[cols] / np.sqrt(n)
     omega, pi = WeightOperator.from_diagonal(inv_r), WeightOperator.from_diagonal(inv_c)
     res = spectral_denoise(scaled, omega, pi, rank=rank, margin=margin)
     return PipelineResult(np.sqrt(n) * omega.apply(res.left), pi.apply(res.right), res,

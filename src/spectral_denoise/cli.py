@@ -166,7 +166,7 @@ def _cmd_complete(args) -> int:
     res = missing_data_denoise(pattern, rank=args.rank, margin=args.margin)
     estimate = res.estimate
     estimate *= args.noise_sd
-    extra = {"observed_entries": int(pattern.mask.sum()),
+    extra = {"observed_entries": pattern.values.size,
              "amse_estimate": float(res.amse_estimate * args.noise_sd**2)}
     return _finish(args, estimate, res, extra=extra)
 

@@ -58,10 +58,10 @@ class SignalSpec:
 
 
 def two_block_vectors(m: int):
-    """The orthonormal pair (constant, half-sign-flip) in ``R**m``."""
+    """The orthonormal pair (constant, sign flip at ``m // 2``) in ``R**m``, ``m >= 2``."""
+    h = m // 2
     const = np.full(m, 1.0 / np.sqrt(m))
-    flip = np.full(m, 1.0 / np.sqrt(m))
-    flip[m // 2:] *= -1.0
+    flip = np.where(np.arange(m) < h, np.sqrt((m - h) / h), -np.sqrt(h / (m - h))) / np.sqrt(m)
     return const, flip
 
 
@@ -120,9 +120,9 @@ def _piecewise_constant(spec: SignalSpec) -> Signal:
         if r == 1:
             return first[:, None]
         # Orthogonal complement within the two-block subspace.
-        second = np.concatenate([np.full(h, b), np.full(m - h, -a)])
-        scale = np.sqrt(h * b**2 + (m - h) * a**2)
-        return np.column_stack([first, second / scale])
+        second = np.concatenate([np.full(h, np.sqrt((1.0 - rho) / h)),
+                                 np.full(m - h, -np.sqrt(rho / (m - h)))])
+        return np.column_stack([first, second])
 
     U = side(spec.p)
     V = side(spec.n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BelowDetectionThresholdError
+from .errors import BelowDetectionThresholdError, DegenerateEstimateError
 
 __all__ = [
     "bulk_edge",
@@ -99,7 +99,8 @@ def invert_singular_value(lam, gamma: float):
     Inverts :func:`forward_singular_value` on the detectable branch.
     Requires ``lam > 1 + sqrt(gamma)``; at or below the bulk edge the map
     is not invertible and :class:`BelowDetectionThresholdError` is raised,
-    naming the first offending value and, for arrays, its index.
+    naming the first offending value and, for arrays, its index.  Values
+    past ``max_float**0.25 / 2`` raise :class:`DegenerateEstimateError`.
     """
     gamma = _check_gamma(gamma)
     lam_arr = np.asarray(lam, dtype=float)
@@ -112,6 +113,9 @@ def invert_singular_value(lam, gamma: float):
             f"the bulk edge {edge:.6g}",
             index=k if lam_arr.ndim else None,
         )
+    if np.any(lam_arr > np.finfo(float).max ** 0.25 / 2):  # m**2 and t**4 would overflow
+        raise DegenerateEstimateError(
+            f"singular value {lam_arr.max():.6g} is too large for the spiked-model maps")
     m = lam_arr**2 - 1.0 - gamma
     t = np.sqrt((m + np.sqrt(m**2 - 4.0 * gamma)) / 2.0)
     return float(t) if np.isscalar(lam) or lam_arr.ndim == 0 else t

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectral_denoise import (DegenerateEstimateError, NoiseCovariances,
+from spectral_denoise import (DegenerateEstimateError, DimensionMismatchError, NoiseCovariances,
                               SamplingPattern, backproject,
                               estimate_noise_covariances, localized_denoise,
                               make_equispaced_partition, missing_data_denoise,
@@ -236,7 +236,7 @@ class TestSamplingPattern:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             SamplingPattern(np.array([0.0, 0.5]), np.array([0.5]),
-                            np.ones((2, 1), dtype=bool), np.ones(2))
+                            *np.nonzero(np.ones((2, 1), dtype=bool)), np.ones(2))
 
     @pytest.mark.parametrize("field, q_row, q_col, values", [
         ("q_row", [np.nan, 0.5], [0.5], [1.0, 1.0]),
@@ -246,12 +246,20 @@ class TestSamplingPattern:
     def test_non_finite_inputs_rejected(self, field, q_row, q_col, values):
         with pytest.raises(ValueError, match=field):
             SamplingPattern(np.array(q_row), np.array(q_col),
-                            np.ones((2, 1), dtype=bool), np.array(values))
+                            *np.nonzero(np.ones((2, 1), dtype=bool)), np.array(values))
 
     def test_count_consistency(self):
         with pytest.raises(ValueError):
             SamplingPattern(np.array([0.5, 0.5]), np.array([0.5]),
-                            np.ones((2, 1), dtype=bool), np.ones(3))
+                            *np.nonzero(np.ones((2, 1), dtype=bool)), np.ones(3))
+
+    @pytest.mark.parametrize("full_shape, mask_shape, q_sizes", [
+        ((2, 3), (2, 3), (2, 4)), ((2, 3), (3, 2), (2, 3)), ((3, 3), (2, 3), (2, 3)),
+    ], ids=["q-size", "mask-shape", "matrix-shape"])
+    def test_dense_shapes_must_match(self, full_shape, mask_shape, q_sizes):
+        with pytest.raises(DimensionMismatchError):
+            SamplingPattern.from_dense(np.ones(full_shape), np.ones(mask_shape, dtype=bool),
+                                       np.full(q_sizes[0], 0.5), np.full(q_sizes[1], 0.5))
 
     def test_coordinate_and_dense_agree(self):
         rng = np.random.default_rng(11)
@@ -262,7 +270,8 @@ class TestSamplingPattern:
         a = SamplingPattern.from_dense(full, mask, q_r, q_c)
         rr, cc = np.nonzero(mask)
         b = SamplingPattern.from_coordinates(rr, cc, full[mask], q_r, q_c)
-        assert np.array_equal(a.mask, b.mask)
+        for field in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
         assert np.allclose(backproject(a), backproject(b))
 
 
@@ -290,7 +299,7 @@ class TestBackproject:
 
     def test_no_observation_returns_zero(self):
         pat = SamplingPattern(np.ones(4), np.ones(5),
-                              np.zeros((4, 5), dtype=bool), np.zeros(0))
+                              *np.nonzero(np.zeros((4, 5), dtype=bool)), np.zeros(0))
         assert np.all(backproject(pat) == 0)
 
     def test_half_observed_matches_hadamard(self):
@@ -305,7 +314,7 @@ class TestBackproject:
         mask = rng.random((9, 11)) < 0.6
         A = rng.standard_normal((9, 11))
         y = rng.standard_normal(int(mask.sum()))
-        pat = SamplingPattern(np.full(9, 0.6), np.full(11, 0.6), mask, y)
+        pat = SamplingPattern(np.full(9, 0.6), np.full(11, 0.6), *np.nonzero(mask), y)
         lhs = float(A[mask] @ y)            # <F(A), y>
         rhs = float(np.sum(A * backproject(pat)))  # <A, F*(y)>
         assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -328,7 +337,7 @@ class TestMissingData:
     def test_zero_probability_rejected(self):
         with pytest.raises(ValueError):
             SamplingPattern(np.array([1.0, 0.0]), np.ones(3),
-                            np.ones((2, 3), dtype=bool), np.ones(6))
+                            *np.nonzero(np.ones((2, 3), dtype=bool)), np.ones(6))
 
     @pytest.mark.slow
     def test_backprojection_approaches_scaled_signal(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
-                              WeightOperator, check_shrinkage_properties,
+                              SpectralDenoiseError, WeightOperator, check_shrinkage_properties,
                               cosines, diagonal_denoise, forward_singular_value,
                               localized_denoise, make_equispaced_partition,
                               optimal_coefficients, spectral_denoise, spectral_fit,
@@ -456,3 +456,40 @@ def test_plugin_error_decays_with_n():
             diffs.append(abs(realized - res.amse_estimate) / res.amse_estimate)
         ratios.append(np.mean(diffs))
     assert ratios[1] < ratios[0] / 1.4
+
+
+def _scaled_entry_points():
+    p, n = 40, 60
+    w = WeightOperator.from_diagonal(np.linspace(0.5, 2.0, p))
+    rows, cols = make_equispaced_partition(p, 2), make_equispaced_partition(n, 3)
+    return {
+        "shrink": lambda Y, rank: svs_shrink(Y, rank=rank),
+        "spectral": lambda Y, rank: spectral_denoise(Y, w, None, rank=rank),
+        "diagonal": lambda Y, rank: diagonal_denoise(Y, w, None, rank=rank),
+        "localized": lambda Y, rank: localized_denoise(Y, rows, cols, rank=rank),
+        "submatrix": lambda Y, rank: submatrix_denoise(Y, np.arange(10), np.arange(30),
+                                                       rank=rank),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_scaled_entry_points()))
+@pytest.mark.parametrize("rank", [2, None])
+@pytest.mark.parametrize("scale", [1e70, 1e80, 1e160])
+def test_extreme_scale_is_finite_or_typed(scale, rank, entry):
+    # The Gram overflows past s_1 ~ 1.3e154 and the spiked maps past
+    # ~1.2e77: each either answers in full or raises a domain error, never
+    # with a RuntimeWarning (an error under this suite) or a dropped rank.
+    rng = np.random.default_rng(31)
+    p, n = 40, 60
+    U, _ = np.linalg.qr(rng.standard_normal((p, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+    Y = scale * ((U * [5.0, 3.0]) @ V.T + rng.standard_normal((p, n)) / np.sqrt(n))
+    try:
+        res = _scaled_entry_points()[entry](Y, rank)
+    except SpectralDenoiseError as err:
+        assert "too large" in str(err)
+        return
+    expected = 2 if rank is not None else int(np.sum(
+        np.linalg.svd(Y, compute_uv=False) > 1.0 + np.sqrt(p / n)))
+    assert res.rank == expected
+    assert np.all(np.isfinite(res.estimate)) and np.isfinite(res.amse_estimate)

@@ -12,7 +12,7 @@ from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
                                      gen_noise, gen_signal, make_rng,
                                      relative_error, resolve_config,
-                                     run_experiment, splitmix64)
+                                     run_experiment, splitmix64, two_block_vectors)
 from spectral_denoise.simlab import scenarios
 from spectral_denoise.simlab.scenarios import SCENARIOS, offset_partition
 
@@ -81,6 +81,19 @@ class TestOtherSignals:
         sig = gen_signal(SignalSpec("piecewise_constant", 100, 100, t=(3.0, 2.0),
                                     energy_fraction=0.5))
         assert np.allclose(sig.U.T @ sig.U, np.eye(2), atol=1e-12)
+
+    def test_two_block_pairs_orthonormal_at_every_size(self):
+        for m in range(2, 42):
+            for U in (np.column_stack(two_block_vectors(m)),
+                      gen_signal(SignalSpec("piecewise_constant", m, 2, t=(3.0, 2.0),
+                                            energy_fraction=0.7)).U):
+                np.testing.assert_allclose(U.T @ U, np.eye(2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scenario", ["rank-estimation", "weighted-inner-products"])
+    def test_two_block_scenarios_run_at_odd_sizes(self, scenario, tmp_path):
+        report = run_experiment({"scenario": scenario, "seed": 1, "replicates": 1,
+                                 "scale": 0.25}, tmp_path)
+        assert report.rows
 
     def test_block_image_orthonormal(self):
         sig = gen_signal(SignalSpec("block_image", 90, 120, t=(4.0, 3.0, 2.0)))

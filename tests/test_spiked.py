@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_denoise import (BelowDetectionThresholdError, bulk_edge, cosines,
-                              detection_point, estimate_spike_params,
+from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
+                              bulk_edge, cosines, detection_point, estimate_spike_params,
                               forward_singular_value, invert_singular_value,
                               naive_rank)
 
@@ -61,6 +61,14 @@ class TestInvert:
                            match="singular value 2 at index 1 does not exceed") as err:
             invert_singular_value([3.0, 2.0], 1.0)
         assert err.value.index == 1
+
+    def test_overflowing_value_is_named(self):
+        # m**2 overflows near lam = 1.16e77: a typed error, not a warning.
+        assert np.isfinite(invert_singular_value(1e76, 0.5))
+        for lam in (1e80, [3.0, 1e160]):
+            with pytest.raises(DegenerateEstimateError,
+                               match="singular value 1e\\+[0-9]+ is too large"):
+                invert_singular_value(lam, 0.5)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(t=st.floats(0.5, 50.0), g=st.floats(0.05, 8.0))

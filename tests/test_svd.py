@@ -143,6 +143,27 @@ def test_huge_spike_takes_dense_fallback(shape):
     assert_triplets(Y, U, s, V)
 
 
+@pytest.mark.parametrize("shape", [(60, 100), (100, 60)])
+def test_gram_overflow_takes_dense_fallback(shape):
+    # Past s_1 ~ 1.34e154 the Gram overflows to inf; dsyevr would return
+    # no eigenvalues for it, so the dense SVD must run instead.
+    p, n = shape
+    Y = spiked(np.random.default_rng(10), p, n)
+    scale = 2.0**520
+    U0, s0, V0, _ = top_svd(Y, 3)
+    U, s, V, spectrum = top_svd(Y * scale, 3)
+    assert s.size == 3 and spectrum.size == min(p, n)
+    np.testing.assert_allclose(s, scale * s0, rtol=S_RTOL)
+    sign = np.sign(np.sum(U * U0, axis=0))
+    assert np.max(np.abs(U * sign - U0)) <= VEC_ATOL
+    assert np.max(np.abs(V * sign - V0)) <= VEC_ATOL
+    tau = edge(p, n)
+    U, s, V, _ = svd_head_above(Y * scale, tau)
+    ref = reference(Y)[1]
+    assert s.size == int(np.sum(scale * ref > tau)) == min(p, n)
+    np.testing.assert_allclose(s, scale * ref, rtol=S_RTOL * ref[0] / ref[-1])
+
+
 def test_negative_threshold_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         svd_head_above(np.ones((3, 4)), -1.0)
