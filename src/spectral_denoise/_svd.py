@@ -13,14 +13,15 @@ full LAPACK SVD runs instead and ``spectrum`` is the whole spectrum.
 ``Y`` is made C-contiguous, so its layout does not change the result's
 bytes, and BLAS ``dsyrk`` (the Gram's upper triangle) and ``dgemm``
 (``A^T Q``) read its transpose in place; f2py would copy ``Y`` itself.
-They and ``dsyevr`` all run in scipy's OpenBLAS: numpy bundles a second
-one, whose threads spin on after a call and compete.  No thread count is set.
+They, ``dsyevr`` and the dense fallback's ``gesdd`` all run in scipy's
+OpenBLAS, as every large product and factorization of the program does
+(see ``_blas``): one BLAS thread pool per process.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, svd
 from scipy.linalg.blas import dgemm, dsyrk
 
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
@@ -29,7 +30,7 @@ _GRAM_RTOL = 1e-8
 
 
 def _dense(Y: np.ndarray, k: int):
-    U, s, Vt = np.linalg.svd(Y, full_matrices=False)
+    U, s, Vt = svd(Y, full_matrices=False)
     return U[:, :k], s[:k], Vt[:k].T, s
 
 
@@ -79,14 +80,17 @@ def svd_head_above(Y: np.ndarray, threshold: float):
     """All singular triplets with value strictly above ``threshold``.
 
     Returns ``(U, s, V, spectrum)``; ``spectrum`` is ``s`` (Gram path) or
-    the whole spectrum (dense fallback).
+    the whole spectrum (dense fallback).  A threshold whose square
+    overflows (above about ``1.3e154``) takes the dense fallback.
     """
     threshold = float(threshold)
     if not 0 <= threshold < np.inf:
         raise ValueError("threshold must be finite and nonnegative")
     if min(Y.shape) == 0:
         return top_svd(Y, 0)
-    head = _gram_head(Y, threshold, subset_by_value=(threshold**2, np.inf))
+    square = threshold * threshold  # inf past the float range; ** would raise
+    head = None if square == np.inf else _gram_head(Y, threshold,
+                                                     subset_by_value=(square, np.inf))
     U, s, V, spectrum = _dense(Y, min(Y.shape)) if head is None else head
     # dsyevr may also return an eigenvalue that rounds onto the boundary.
     count = int(np.sum(s > threshold))

@@ -13,7 +13,9 @@ result types; the dense estimate is formed only when it is read.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import eigh
 
+from ._blas import abt
 from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import WeightOperator, as_weight_operator
@@ -103,7 +105,7 @@ class NoiseCovariances:
             raise ValueError(f"{side} covariance must have finite entries")
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError(f"{side} covariance must be symmetric")
-        vals, vecs = np.linalg.eigh((cov + cov.T) / 2.0)
+        vals, vecs = eigh((cov + cov.T) / 2.0)
         if np.any(vals <= 0):
             raise ValueError(f"{side} covariance must be positive definite")
         return vals, vecs
@@ -131,7 +133,7 @@ class NoiseCovariances:
         vals, vecs = side
         if vecs is None:
             return vals ** exponent
-        return (vecs * vals ** exponent) @ vecs.T
+        return abt(vecs * vals ** exponent, vecs)
 
     def whiten(self, Y: np.ndarray) -> np.ndarray:
         """``S**-0.5 @ Y @ T**-0.5``."""
@@ -139,8 +141,8 @@ class NoiseCovariances:
             raise DimensionMismatchError(
                 f"Y has shape {Y.shape}, covariances expect ({self.p}, {self.n})")
         row, col = self._power(self._row, -0.5), self._power(self._col, -0.5)
-        M = row[:, None] * Y if row.ndim == 1 else row @ Y
-        return M * col if col.ndim == 1 else M @ col
+        M = row[:, None] * Y if row.ndim == 1 else abt(row, Y.T)
+        return M * col if col.ndim == 1 else abt(M, col.T)
 
     def sqrt_weights(self):
         """Weight operators ``S**0.5`` and ``T**0.5`` for the whitened loss."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import abt
 from ._svd import svd_head_above, top_svd
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
@@ -60,8 +61,8 @@ class _FactoredResult:
 
     @property
     def estimate(self) -> np.ndarray:
-        """The dense ``p x n`` estimate ``left @ right.T``, formed on each access."""
-        return self.left @ self.right.T
+        """The dense ``p x n`` estimate ``left @ right.T`` (``_blas.abt``), formed on access."""
+        return abt(self.left, self.right)
 
     @property
     def rank(self) -> int:
@@ -278,7 +279,7 @@ class SpectralFit:
                                                trace_weight(pi, n))
         coeff, raw = solve(geom, spikes)
         amse, clamped = _clamp_amse(raw)
-        return DenoiseResult(coeff, U @ coeff, V, float(amse), spikes, geom,
+        return DenoiseResult(coeff, abt(U, coeff.T), V, float(amse), spikes, geom,
                              geom.clipped, clamped)
 
     def denoise(self, omega=None, pi=None) -> DenoiseResult:
@@ -303,7 +304,7 @@ class SpectralFit:
         B, Psi, Q, clip_cols = _block_sides(self.V, cols, spikes.c_tilde, spikes.s_tilde)
         t = spikes.t
         tt = np.outer(t, t).ravel()
-        tile_amse, clamped = _clamp_amse((Phi * tt) @ Psi.T - (P * tt) @ Q.T)
+        tile_amse, clamped = _clamp_amse(abt(Phi * tt, Psi) - abt(P * tt, Q))
         return LocalizedResult(A * t, B, float(tile_amse.sum()), spikes, tile_amse,
                                tuple(sorted(clip_rows | clip_cols)), clamped)
 

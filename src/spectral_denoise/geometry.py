@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._blas import abt
 from .errors import DimensionMismatchError, IllConditionedRecoveryError
 from .spiked import SpikeParams
 
@@ -96,7 +97,7 @@ class WeightOperator:
             return self.data[:, None] * v if v.ndim == 2 else self.data * v
         if self.kind == "indices":
             return v[self.data]
-        return self.data @ v
+        return abt(self.data, v.T) if v.ndim == 2 else abt(self.data, v[None, :])[:, 0]
 
     def trace_gram(self) -> float:
         """``tr(W^T W)``, the squared Frobenius norm of the weight."""
@@ -155,11 +156,11 @@ def weighted_gram(vectors, omega: WeightOperator) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
         raise ValueError("vectors must be a 2-D matrix with unit columns")
-    norms = np.linalg.norm(v, axis=0)
+    norms = np.sqrt(np.sum(v * v, axis=0))
     if v.shape[1] and np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("columns must be unit vectors (within 1e-8)")
     w = omega.apply(v)
-    gram = w.T @ w
+    gram = abt(w.T, w.T)
     return (gram + gram.T) / 2.0
 
 

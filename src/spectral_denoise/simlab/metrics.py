@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._blas import norm
 from ..errors import DimensionMismatchError, UndefinedMetricError
 from ..geometry import as_weight_operator
 
@@ -35,7 +36,7 @@ def relative_error(X_hat, X, omega=None, pi=None) -> float:
     X = np.asarray(X, dtype=float)
     if X_hat.shape != X.shape:
         raise DimensionMismatchError(f"shape mismatch: {X_hat.shape} vs {X.shape}")
-    denom = np.linalg.norm(_two_sided(X, omega, pi))
+    denom = norm(_two_sided(X, omega, pi))
     if denom == 0:
         raise UndefinedMetricError("reference matrix has zero weighted norm")
-    return float(np.linalg.norm(_two_sided(X_hat - X, omega, pi)) / denom)
+    return norm(_two_sided(X_hat - X, omega, pi)) / denom

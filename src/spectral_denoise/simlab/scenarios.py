@@ -18,6 +18,7 @@ from ..applications import (NoiseCovariances, SamplingPattern,
 from ..denoise import spectral_denoise, spectral_fit, svs_shrink
 from ..geometry import WeightOperator
 from ..localized import Partition, make_equispaced_partition
+from .._blas import abt, norm
 from .._svd import top_svd
 from ..spiked import cosines
 from .metrics import relative_error, weighted_loss
@@ -117,7 +118,7 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
         weighted = fit.submatrix(rows_idx, cols_idx)
         baseline = shrink_submatrix_baseline(Y, rows_idx, cols_idx)
         shr = fit.denoise()
-        whole = shr.left[rows_idx] @ shr.right[cols_idx].T
+        whole = abt(shr.left[rows_idx], shr.right[cols_idx])
         out.append({
             "f": float(f),
             "rel_err_weighted": relative_error(weighted.estimate, X0),
@@ -220,7 +221,7 @@ def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
         keep = int(round(frac * p))
         mu = keep / p
         Uk = sig.U[:keep]
-        pop_gram = Uk.T @ Uk
+        pop_gram = abt(Uk.T, Uk.T)
         c, ct, s, st = cosines(sig.t, gamma)
         gram_pred = np.outer(c, c) * pop_gram
         np.fill_diagonal(gram_pred, c**2 * np.diag(pop_gram) + s**2 * mu)
@@ -232,15 +233,13 @@ def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
             Y = sig.X + noise
             U_emp, _, _, _ = top_svd(Y, 2)
             W = U_emp[:keep]
-            gram_emp = W.T @ W
-            cross_emp = W.T @ Uk
+            gram_emp = abt(W.T, W.T)
+            cross_emp = abt(W.T, Uk.T)
             out.append({
                 "n": n,
                 "dist": str(dist),
-                "rel_err_cross": float(np.linalg.norm(np.abs(cross_emp) - np.abs(cross_pred))
-                                       / np.linalg.norm(cross_pred)),
-                "rel_err_gram": float(np.linalg.norm(np.abs(gram_emp) - np.abs(gram_pred))
-                                      / np.linalg.norm(gram_pred)),
+                "rel_err_cross": norm(np.abs(cross_emp) - np.abs(cross_pred)) / norm(cross_pred),
+                "rel_err_gram": norm(np.abs(gram_emp) - np.abs(gram_pred)) / norm(gram_pred),
             })
     return out
 

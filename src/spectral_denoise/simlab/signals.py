@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import qr
+
+from .._blas import abt
 
 __all__ = ["Signal", "SignalSpec", "gen_signal", "two_block_vectors"]
 
@@ -59,6 +62,8 @@ class SignalSpec:
 
 def two_block_vectors(m: int):
     """The orthonormal pair (constant, sign flip at ``m // 2``) in ``R**m``, ``m >= 2``."""
+    if m < 2:
+        raise ValueError(f"two_block_vectors needs m >= 2, got m={m}")
     h = m // 2
     const = np.full(m, 1.0 / np.sqrt(m))
     flip = np.where(np.arange(m) < h, np.sqrt((m - h) / h), -np.sqrt(h / (m - h))) / np.sqrt(m)
@@ -90,7 +95,7 @@ def _checkerboard(spec: SignalSpec) -> Signal:
         U = np.column_stack([u1, sign_r / np.sqrt(p)])
         V = np.column_stack([v1, sign_c / np.sqrt(n)])
         t = np.array([t1, t2])
-    return Signal((U * t) @ V.T, U, t, V)
+    return Signal(abt(U * t, V), U, t, V)
 
 
 def _random_orthonormal(spec: SignalSpec, rng: np.random.Generator) -> Signal:
@@ -98,9 +103,9 @@ def _random_orthonormal(spec: SignalSpec, rng: np.random.Generator) -> Signal:
     r = t.size
     if r == 0 or np.any(t <= 0) or np.any(np.diff(t) >= 0) and r > 1:
         raise ValueError("t must be a nonempty, strictly decreasing positive vector")
-    U, _ = np.linalg.qr(rng.standard_normal((spec.p, r)))
-    V, _ = np.linalg.qr(rng.standard_normal((spec.n, r)))
-    return Signal((U * t) @ V.T, U, t, V)
+    U, V = (np.ascontiguousarray(qr(rng.standard_normal((m, r)), mode="economic")[0])
+            for m in (spec.p, spec.n))
+    return Signal(abt(U * t, V), U, t, V)
 
 
 def _piecewise_constant(spec: SignalSpec) -> Signal:
@@ -126,7 +131,7 @@ def _piecewise_constant(spec: SignalSpec) -> Signal:
 
     U = side(spec.p)
     V = side(spec.n)
-    return Signal((U * t) @ V.T, U, t, V)
+    return Signal(abt(U * t, V), U, t, V)
 
 
 def _block_image(spec: SignalSpec) -> Signal:
@@ -149,7 +154,7 @@ def _block_image(spec: SignalSpec) -> Signal:
 
     U = bands(spec.p)
     V = bands(spec.n)[::-1]  # anti-diagonal mosaic, keeps columns orthonormal
-    return Signal((U * t) @ V.T, U, t, V)
+    return Signal(abt(U * t, V), U, t, V)
 
 
 def _custom(spec: SignalSpec) -> Signal:
@@ -162,9 +167,9 @@ def _custom(spec: SignalSpec) -> Signal:
     if U.shape != (spec.p, r) or V.shape != (spec.n, r):
         raise ValueError("U and V shapes must match (p, r) and (n, r)")
     for M, name in ((U, "U"), (V, "V")):
-        if np.max(np.abs(M.T @ M - np.eye(r))) > 1e-8:
+        if np.max(np.abs(abt(M.T, M.T) - np.eye(r))) > 1e-8:
             raise ValueError(f"{name} columns must be orthonormal")
-    return Signal((U * t) @ V.T, U, t, V)
+    return Signal(abt(U * t, V), U, t, V)
 
 
 def gen_signal(spec: SignalSpec, rng: np.random.Generator | None = None) -> Signal:

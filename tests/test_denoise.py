@@ -10,6 +10,7 @@ from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateEr
                               optimal_coefficients, spectral_denoise, spectral_fit,
                               submatrix_denoise, svs_shrink, trace_weight, weighted_gram)
 from spectral_denoise import denoise
+from spectral_denoise._blas import abt
 from spectral_denoise.denoise import _amse_raw, amse_estimate
 from spectral_denoise.geometry import WeightedGeometry, recover_population_geometry
 from spectral_denoise.simlab import two_block_vectors, weighted_loss
@@ -380,7 +381,7 @@ class TestSvsShrink:
             assert res.coefficients.tobytes() == coeff.tobytes()
             assert res.left.tobytes() == left.tobytes()
             assert res.right.tobytes() == right.tobytes()
-            assert res.estimate.tobytes() == (left @ right.T).tobytes()
+            assert res.estimate.tobytes() == abt(left, right).tobytes()
             assert abs(res.amse_estimate - amse) <= 1e-14 * amse
             assert np.all(res.geometry.alpha == 1.0) and np.all(res.geometry.beta == 1.0)
             assert res.geometry.mu == res.geometry.nu == 1.0
