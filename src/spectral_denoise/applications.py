@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from ._blas import abt
 from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
-from .geometry import WeightOperator, as_weight_operator
+from .geometry import WeightOperator, _index_array, as_weight_operator
 
 __all__ = [
     "PipelineResult",
@@ -225,8 +225,8 @@ class SamplingPattern:
     def __init__(self, q_row, q_col, rows, cols, values):
         self.q_row = np.asarray(q_row, dtype=float)
         self.q_col = np.asarray(q_col, dtype=float)
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
+        self.rows = _index_array(rows, "rows")
+        self.cols = _index_array(cols, "cols")
         self.values = np.asarray(values, dtype=float)
         if self.q_row.ndim != 1 or self.q_col.ndim != 1:
             raise ValueError("q_row and q_col must be 1-D probability vectors")

@@ -173,6 +173,8 @@ def _cmd_complete(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = io._read_json(args.config) if args.config else {}
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.config}: a simlab config must be a JSON object")
     if args.scenario:
         config["scenario"] = args.scenario
     if args.replicates is not None:

@@ -42,6 +42,14 @@ ALPHA_FLOOR = 1e-8
 MIN_COSINE = 1e-6
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as an ``intp`` array; floats or booleans raise ``ValueError``."""
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return arr.astype(np.intp, copy=False)
+
+
 class WeightOperator:
     """A linear weight map acting on vectors of length ``dim``."""
 
@@ -71,7 +79,7 @@ class WeightOperator:
 
     @classmethod
     def from_indices(cls, indices, dim: int) -> "WeightOperator":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = _index_array(indices, "indices")
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("index weight must be a nonempty 1-D index set")
         if np.any(idx < 0) or np.any(idx >= dim):

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import io
 from .denoise import LocalizedResult, spectral_fit
+from .geometry import _index_array
 
 __all__ = [
     "Partition",
@@ -45,7 +46,7 @@ class Partition:
         seen = np.zeros(self.dim, dtype=bool)
         cleaned = []
         for b in self.blocks:
-            idx = np.asarray(b, dtype=np.intp)
+            idx = _index_array(b, "partition block")
             if idx.ndim != 1 or idx.size == 0:
                 raise ValueError("every partition block must be a nonempty index set")
             if np.any(np.diff(idx) <= 0):
@@ -68,7 +69,7 @@ class Partition:
 
     @classmethod
     def from_lists(cls, dim: int, lists) -> "Partition":
-        return cls(dim, tuple(np.asarray(sorted(b), dtype=np.intp) for b in lists))
+        return cls(dim, tuple(sorted(b) for b in lists))
 
     @classmethod
     def from_json(cls, path, dim: int) -> "Partition":

@@ -1,5 +1,9 @@
 """Reproducible noise generation and seed derivation.
 
+``gen_noise(dist, p, n, seed, scale)`` draws iid noise.  ``dist`` is the
+value a scenario config carries: ``"gaussian"``, ``"rademacher"``, or
+Student-t as ``"t<df>"``, ``"t_<df>"`` or the number ``df``.
+
 Random streams use the counter-based Philox generator, which produces
 identical output across platforms and thread counts.  Per-replicate
 seeds are derived from the base seed by adding the replicate index and
@@ -10,12 +14,14 @@ documented and stable.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NoiseSpec", "gen_noise", "splitmix64", "derive_seed", "make_rng"]
+__all__ = ["gen_noise", "splitmix64", "derive_seed", "make_rng"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -37,42 +43,33 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """An iid noise model: distribution, per-entry scale and seed.
+def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -> np.ndarray:
+    """Draw a ``p x n`` iid noise matrix; identical for identical arguments.
 
-    ``scale`` defaults to ``1/sqrt(n)`` at generation time, matching the
-    spiked-model convention.  Student-t draws with ``df > 2`` are
-    rescaled to unit variance before scaling; ``df <= 2`` has no finite
-    variance, is deliberately allowed for breakdown studies, and triggers
-    a warning instead of normalization.
+    ``scale`` defaults to ``1/sqrt(n)``, matching the spiked-model convention.
+    Student-t draws with ``df > 2`` are rescaled to unit variance before
+    scaling; ``df <= 2`` has no finite variance, is deliberately allowed for
+    breakdown studies, and triggers a warning instead of normalization.
     """
-
-    dist: str = "gaussian"
-    df: float | None = None
-    scale: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.dist not in ("gaussian", "rademacher", "student_t"):
-            raise ValueError(f"unknown noise distribution {self.dist!r}")
-        if self.dist == "student_t":
-            if self.df is None or self.df <= 0:
-                raise ValueError("student_t noise needs df > 0")
-
-
-def gen_noise(spec: NoiseSpec, p: int, n: int) -> np.ndarray:
-    """Draw a ``p x n`` iid noise matrix; identical for identical specs."""
     p, n = int(p), int(n)
     if p <= 0 or n <= 0:
         raise ValueError("noise dimensions must be positive")
-    rng = make_rng(spec.seed)
-    scale = spec.scale if spec.scale is not None else 1.0 / np.sqrt(n)
-    if spec.dist == "gaussian":
+    rng = make_rng(seed)
+    scale = 1.0 / np.sqrt(n) if scale is None else scale
+    if dist == "gaussian":
         return rng.standard_normal((p, n)) * scale
-    if spec.dist == "rademacher":
+    if dist == "rademacher":
         return (rng.integers(0, 2, size=(p, n)) * 2.0 - 1.0) * scale
-    df = float(spec.df)
+    df = math.nan  # Student-t: "t<df>", "t_<df>" or the number df
+    if isinstance(dist, str) and dist.startswith("t"):
+        with contextlib.suppress(ValueError):
+            df = float(dist[1:].removeprefix("_"))
+    elif isinstance(dist, numbers.Real) and not isinstance(dist, bool):
+        with contextlib.suppress(OverflowError):
+            df = float(dist)
+    if not (math.isfinite(df) and df > 0):
+        raise ValueError(f"unknown noise distribution {dist!r}; expected 'gaussian', "
+                         "'rademacher', or Student-t 't<df>', 't_<df>' or df, finite df > 0")
     draws = rng.standard_t(df, size=(p, n))
     if df > 2:
         draws *= np.sqrt((df - 2.0) / df)

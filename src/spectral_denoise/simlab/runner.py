@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +36,23 @@ CONFIG_SCHEMA_VERSION = 1
 _CONFIG_KEYS = ("schema", "scenario", "seed", "replicates", "scale", "params")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_param(name: str, key: str, value, default) -> None:
+    """A param takes its default's kind; ``dist`` values are left to ``gen_noise``."""
+    if isinstance(default, (list, tuple)):
+        numeric = all(map(_is_number, default))
+        if (not isinstance(value, (list, tuple)) or not value
+                or (numeric and not all(map(_is_number, value)))
+                or (isinstance(default, tuple) and len(value) != len(default))):
+            raise ValueError(f"{name} param {key!r} must be a list like {list(default)!r}, "
+                             f"got {value!r}")
+    elif _is_number(default) and not _is_number(value):
+        raise ValueError(f"{name} param {key!r} must be a finite number, got {value!r}")
+
+
 def resolve_config(config) -> dict:
     """Validate a config (dict or JSON path), reject unknown keys, fill in defaults."""
     if isinstance(config, (str, Path)):
@@ -48,19 +67,28 @@ def resolve_config(config) -> dict:
         raise ValueError(f"unsupported config schema {schema!r}; "
                          f"this build reads schema {CONFIG_SCHEMA_VERSION}")
     name = config.get("scenario")
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of "
                          f"{sorted(SCENARIOS)}")
+    for key in ("seed", "replicates"):
+        value = config.get(key, 0)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"config {key!r} must be an integer, got {value!r}")
+    scale = config.get("scale", 1.0)
+    if not (_is_number(scale) and scale > 0):
+        raise ValueError(f"config 'scale' must be a finite number above 0, got {scale!r}")
+    given = config.get("params", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config 'params' must be a JSON object, got {given!r}")
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
-    unknown = sorted(set(config.get("params", {})) - set(params))
+    unknown = sorted(set(given) - set(params))
     if unknown:
         raise ValueError(f"unknown {name} param {unknown[0]!r}; valid params: "
                          f"{sorted(params)}")
-    params.update(config.get("params", {}))
-    scale = float(config.get("scale", 1.0))
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    for key, value in given.items():
+        _check_param(name, key, value, params[key])
+    params.update(given)
     if scale != 1.0:
         params = scenario.apply_scale(params, scale)
     replicates = max(1, int(round(int(config.get("replicates", 20)) * scale)))
@@ -69,7 +97,7 @@ def resolve_config(config) -> dict:
         "scenario": name,
         "seed": int(config.get("seed", 0)),
         "replicates": replicates,
-        "scale": scale,
+        "scale": float(scale),
         "params": params,
     }
 

@@ -5,7 +5,9 @@ Each scenario exposes defaults, a grouping of its grid columns, and a
 point.  The defaults declare every parameter a scenario reads and are
 the only place it gets its default value.  All randomness inside a
 replicate flows from the single seed it is handed, so replicates are
-independent jobs and reruns are bitwise reproducible.
+independent jobs and reruns are bitwise reproducible.  Each grid point
+draws its signal with one ``gen_signal`` call and its noise with one
+``gen_noise`` call, which takes the config's ``dist`` value as it stands.
 """
 
 from __future__ import annotations
@@ -22,24 +24,10 @@ from .._blas import abt, norm
 from .._svd import top_svd
 from ..spiked import cosines
 from .metrics import relative_error, weighted_loss
-from .noise import NoiseSpec, derive_seed, gen_noise, make_rng
-from .signals import SignalSpec, gen_signal, two_block_vectors
+from .noise import derive_seed, gen_noise, make_rng
+from .signals import gen_signal, two_block_vectors
 
 __all__ = ["SCENARIOS", "offset_partition"]
-
-
-def _noise_spec(params: dict, seed: int, scale: float | None) -> NoiseSpec:
-    dist = params["dist"]
-    df = None
-    if isinstance(dist, (int, float)):
-        dist, df = "student_t", float(dist)
-    elif dist.startswith("t"):
-        try:
-            df = float(dist[1:].lstrip("_"))
-            dist = "student_t"
-        except ValueError:
-            pass
-    return NoiseSpec(dist=dist, df=df, scale=scale, seed=seed)
 
 
 def offset_partition(dim: int, num_blocks: int, offset: int) -> Partition:
@@ -64,14 +52,14 @@ def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
     p = int(round(params["gamma"] * n))
     f = float(params["f"])
     cells = int(params["cells"])
-    sig = gen_signal(SignalSpec("checkerboard", p, n, f=f, cells=cells))
+    sig = gen_signal("checkerboard", p, n, f=f, cells=cells)
     sd_scale = float(params["noise_sd_scale"])
     sigma = sd_scale / np.sqrt(n)
 
     rows = offset_partition(p, int(params["row_blocks"]), int(params["row_offset"]))
     cols = offset_partition(n, int(params["col_blocks"]), int(params["col_offset"]))
 
-    noise = gen_noise(_noise_spec(params, seed, sigma), p, n)
+    noise = gen_noise(params["dist"], p, n, seed, sigma)
     Y = sig.X + noise
     model = 1.0 / (sigma * np.sqrt(n))  # rescale so noise variance is 1/n
     Ym = Y * model
@@ -108,10 +96,10 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
     cols_idx = np.arange(n // 2)
     out = []
     for k, f in enumerate(params["f_grid"]):
-        sig = gen_signal(SignalSpec("piecewise_constant", p, n, t=(t,),
-                                    energy_fraction=np.sqrt(f)))
+        sig = gen_signal("piecewise_constant", p, n, t=(t,),
+                         energy_fraction=np.sqrt(f))
         X0 = sig.X[np.ix_(rows_idx, cols_idx)]
-        noise = gen_noise(_noise_spec(params, derive_seed(seed, k), None), p, n)
+        noise = gen_noise(params["dist"], p, n, derive_seed(seed, k))
         Y = sig.X + noise
 
         fit = spectral_fit(Y)
@@ -142,10 +130,10 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
     out = []
     for k, kappa in enumerate(params["kappa_grid"]):
         rng = make_rng(derive_seed(seed, 2 * k))
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=t), rng)
+        sig = gen_signal("random_orthonormal", p, n, t=t, rng=rng)
         cov = NoiseCovariances(np.linspace(1.0 / kappa, 1.0, p),
                                np.linspace(1.0 / kappa, 1.0, n))
-        G = gen_noise(_noise_spec(params, derive_seed(seed, 2 * k + 1), None), p, n)
+        G = gen_noise(params["dist"], p, n, derive_seed(seed, 2 * k + 1))
         Y = sig.X + np.sqrt(cov.row_cov)[:, None] * G * np.sqrt(cov.col_cov)[None, :]
 
         oracle = whiten_denoise(Y, cov)
@@ -180,8 +168,8 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
     out = []
     for k, sigma in enumerate(params["sigma_grid"]):
         rng = make_rng(derive_seed(seed, 3 * k))
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=t), rng)
-        noise = gen_noise(_noise_spec(params, derive_seed(seed, 3 * k + 1), sigma), p, n)
+        sig = gen_signal("random_orthonormal", p, n, t=t, rng=rng)
+        noise = gen_noise(params["dist"], p, n, derive_seed(seed, 3 * k + 1), sigma)
         mask_rng = make_rng(derive_seed(seed, 3 * k + 2))
         mask = (mask_rng.random((p, n)) < np.outer(q_row, q_col))
         # Unit-variance convention: divide observations by sigma, scale back.
@@ -206,7 +194,7 @@ def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
     t = np.array([gamma**0.25 + offsets[0], gamma**0.25 + offsets[1]])
     U = np.column_stack([u_flip, u_const])
     V = np.column_stack([v_flip, v_const])
-    return gen_signal(SignalSpec("custom", p, n, t=tuple(t), U=U, V=V))
+    return gen_signal("custom", p, n, t=t, U=U, V=V)
 
 
 def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
@@ -227,8 +215,7 @@ def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
         np.fill_diagonal(gram_pred, c**2 * np.diag(pop_gram) + s**2 * mu)
         cross_pred = c[:, None] * pop_gram
         for dist in params["dists"]:
-            local = dict(params, dist=dist)
-            noise = gen_noise(_noise_spec(local, derive_seed(seed, k), None), p, n)
+            noise = gen_noise(dist, p, n, derive_seed(seed, k))
             k += 1
             Y = sig.X + noise
             U_emp, _, _, _ = top_svd(Y, 2)
@@ -258,8 +245,7 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
     pi = WeightOperator.from_diagonal(np.linspace(1.0 / p, 1.0 / gamma, n))
     out = []
     for k, dist in enumerate(params["dists"]):
-        local = dict(params, dist=dist)
-        noise = gen_noise(_noise_spec(local, derive_seed(seed, k), None), p, n)
+        noise = gen_noise(dist, p, n, derive_seed(seed, k))
         Y = sig.X + noise
         res_oracle = spectral_denoise(Y, omega, pi, rank=oracle_rank)
         res_naive = spectral_fit(Y).denoise(omega, pi)

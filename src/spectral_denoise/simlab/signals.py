@@ -1,20 +1,21 @@
-"""Synthetic low-rank signal generators with exact SVD factors.
+"""Synthetic low-rank signals with exact SVD factors.
 
-Every generator returns the signal matrix together with its singular
-value decomposition so experiments can measure exact losses and compare
-against the recovered spiked-model parameters.
+``gen_signal(kind, p, n, **params)`` draws any of the five kinds, each
+with its own keywords.  Every kind returns the signal matrix together
+with its singular value decomposition so experiments can measure exact
+losses and compare against the recovered spiked-model parameters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
 
-__all__ = ["Signal", "SignalSpec", "gen_signal", "two_block_vectors"]
+__all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
 
 @dataclass(frozen=True)
@@ -27,39 +28,6 @@ class Signal:
     V: np.ndarray
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """Declarative description of a synthetic signal.
-
-    kind:
-      * ``checkerboard`` -- two-valued alternating cell pattern with unit
-        Frobenius norm; ``f`` is the fraction of the energy carried by
-        the light squares (``f = 1/2`` collapses to a constant, rank-1
-        matrix, anything larger is rank 2).  Requires ``p`` and ``n``
-        divisible by ``cells``.
-      * ``random_orthonormal`` -- Haar-random orthonormal factors with the
-        given singular values.
-      * ``piecewise_constant`` -- vectors constant on the two coordinate
-        halves, with ``energy_fraction`` of each vector's energy in the
-        first half.  Rank 1, or rank 2 where the second component is the
-        orthogonal complement inside the two-block subspace.
-      * ``block_image`` -- rank-``r`` mosaic of disjoint row/column bands,
-        a stand-in for a logo-like image whose singular vectors are
-        strongly localized.
-      * ``custom`` -- explicit orthonormal ``U``, ``V`` and values ``t``.
-    """
-
-    kind: str
-    p: int
-    n: int
-    f: float = 0.7
-    cells: int = 8
-    t: tuple = ()
-    energy_fraction: float = 0.5
-    U: np.ndarray | None = field(default=None, repr=False)
-    V: np.ndarray | None = field(default=None, repr=False)
-
-
 def two_block_vectors(m: int):
     """The orthonormal pair (constant, sign flip at ``m // 2``) in ``R**m``, ``m >= 2``."""
     if m < 2:
@@ -70,8 +38,7 @@ def two_block_vectors(m: int):
     return const, flip
 
 
-def _checkerboard(spec: SignalSpec) -> Signal:
-    p, n, f, cells = spec.p, spec.n, spec.f, spec.cells
+def _checkerboard(p, n, f=0.7, cells=8) -> Signal:
     if not 0.5 <= f <= 1.0:
         raise ValueError(f"light-square energy fraction must be in [1/2, 1], got {f}")
     if cells < 2 or cells % 2:
@@ -98,22 +65,24 @@ def _checkerboard(spec: SignalSpec) -> Signal:
     return Signal(abt(U * t, V), U, t, V)
 
 
-def _random_orthonormal(spec: SignalSpec, rng: np.random.Generator) -> Signal:
-    t = np.asarray(spec.t, dtype=float)
+def _random_orthonormal(p, n, t, rng=None) -> Signal:
+    if rng is None:
+        raise ValueError("random_orthonormal needs an rng")
+    t = np.asarray(t, dtype=float)
     r = t.size
     if r == 0 or np.any(t <= 0) or np.any(np.diff(t) >= 0) and r > 1:
         raise ValueError("t must be a nonempty, strictly decreasing positive vector")
     U, V = (np.ascontiguousarray(qr(rng.standard_normal((m, r)), mode="economic")[0])
-            for m in (spec.p, spec.n))
+            for m in (p, n))
     return Signal(abt(U * t, V), U, t, V)
 
 
-def _piecewise_constant(spec: SignalSpec) -> Signal:
-    t = np.asarray(spec.t, dtype=float)
+def _piecewise_constant(p, n, t, energy_fraction=0.5) -> Signal:
+    t = np.asarray(t, dtype=float)
     r = t.size
     if r not in (1, 2):
         raise ValueError("piecewise_constant supports rank 1 or 2")
-    rho = float(spec.energy_fraction)
+    rho = float(energy_fraction)
     if not 0.0 < rho < 1.0:
         raise ValueError("energy_fraction must lie strictly between 0 and 1")
 
@@ -129,19 +98,19 @@ def _piecewise_constant(spec: SignalSpec) -> Signal:
                                  np.full(m - h, -np.sqrt(rho / (m - h)))])
         return np.column_stack([first, second])
 
-    U = side(spec.p)
-    V = side(spec.n)
+    U = side(p)
+    V = side(n)
     return Signal(abt(U * t, V), U, t, V)
 
 
-def _block_image(spec: SignalSpec) -> Signal:
-    t = np.asarray(spec.t, dtype=float)
+def _block_image(p, n, t) -> Signal:
+    t = np.asarray(t, dtype=float)
     r = t.size
     if r < 1:
         raise ValueError("block_image needs at least one singular value")
     if np.any(t <= 0) or (r > 1 and np.any(np.diff(t) >= 0)):
         raise ValueError("t must be strictly decreasing and positive")
-    if spec.p < r or spec.n < r:
+    if p < r or n < r:
         raise ValueError("dimensions too small for the requested rank")
 
     def bands(m):
@@ -152,19 +121,19 @@ def _block_image(spec: SignalSpec) -> Signal:
             cols[edges[k]:edges[k + 1], k] = 1.0 / np.sqrt(size)
         return cols
 
-    U = bands(spec.p)
-    V = bands(spec.n)[::-1]  # anti-diagonal mosaic, keeps columns orthonormal
+    U = bands(p)
+    V = bands(n)[::-1]  # anti-diagonal mosaic, keeps columns orthonormal
     return Signal(abt(U * t, V), U, t, V)
 
 
-def _custom(spec: SignalSpec) -> Signal:
-    if spec.U is None or spec.V is None or not len(spec.t):
+def _custom(p, n, t, U, V) -> Signal:
+    if U is None or V is None or not len(t):
         raise ValueError("custom signals need U, t and V")
-    U = np.asarray(spec.U, dtype=float)
-    V = np.asarray(spec.V, dtype=float)
-    t = np.asarray(spec.t, dtype=float)
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    t = np.asarray(t, dtype=float)
     r = t.size
-    if U.shape != (spec.p, r) or V.shape != (spec.n, r):
+    if U.shape != (p, r) or V.shape != (n, r):
         raise ValueError("U and V shapes must match (p, r) and (n, r)")
     for M, name in ((U, "U"), (V, "V")):
         if np.max(np.abs(abt(M.T, M.T) - np.eye(r))) > 1e-8:
@@ -172,22 +141,29 @@ def _custom(spec: SignalSpec) -> Signal:
     return Signal(abt(U * t, V), U, t, V)
 
 
-def gen_signal(spec: SignalSpec, rng: np.random.Generator | None = None) -> Signal:
-    """Generate a signal matrix and its exact SVD factors.
+_MAKERS = {"checkerboard": _checkerboard, "random_orthonormal": _random_orthonormal,
+           "piecewise_constant": _piecewise_constant, "block_image": _block_image,
+           "custom": _custom}
 
-    ``rng`` is only consulted by the random kinds; deterministic kinds
-    ignore it.
+
+def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
+    """A ``p x n`` signal of the named kind and its exact SVD factors.
+
+    ``params`` are the kind's own keywords; one it does not read raises ``TypeError``.
+
+    * ``checkerboard(f=0.7, cells=8)`` -- two-valued alternating cells of unit Frobenius
+      norm; the light squares carry energy fraction ``f`` (``f = 1/2`` is a constant,
+      rank-1 matrix, anything larger rank 2).  ``p`` and ``n`` divisible by ``cells``.
+    * ``random_orthonormal(t, rng)`` -- Haar-random orthonormal factors drawn from the
+      generator ``rng``, singular values ``t``.
+    * ``piecewise_constant(t, energy_fraction=0.5)`` -- rank 1 or 2, vectors constant on
+      the two coordinate halves with ``energy_fraction`` of each vector's energy in the
+      first; the second component is the complement inside the two-block subspace.
+    * ``block_image(t)`` -- rank-``len(t)`` mosaic of disjoint row/column bands, a
+      logo-like image whose singular vectors are strongly localized.
+    * ``custom(t, U, V)`` -- explicit orthonormal ``U``, ``V`` and values ``t``.
     """
-    if spec.kind == "checkerboard":
-        return _checkerboard(spec)
-    if spec.kind == "random_orthonormal":
-        if rng is None:
-            raise ValueError("random_orthonormal needs an rng")
-        return _random_orthonormal(spec, rng)
-    if spec.kind == "piecewise_constant":
-        return _piecewise_constant(spec)
-    if spec.kind == "block_image":
-        return _block_image(spec)
-    if spec.kind == "custom":
-        return _custom(spec)
-    raise ValueError(f"unknown signal kind {spec.kind!r}")
+    maker = _MAKERS.get(kind)
+    if maker is None:
+        raise ValueError(f"unknown signal kind {kind!r}")
+    return maker(p, n, **params)

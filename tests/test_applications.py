@@ -8,7 +8,7 @@ from spectral_denoise import (DegenerateEstimateError, DimensionMismatchError, N
                               shrink_submatrix_baseline, snr_gain_tau,
                               spectral_denoise, submatrix_denoise, svs_shrink,
                               whiten_denoise)
-from spectral_denoise.simlab import (SignalSpec, gen_signal, two_block_vectors,
+from spectral_denoise.simlab import (gen_signal, two_block_vectors,
                                      weighted_loss)
 
 
@@ -81,8 +81,7 @@ class TestSubmatrix:
         # estimate the submatrix beats shrinking the submatrix alone.
         p, n = 1000, 2000
         t = (p / n) ** 0.25 + 0.5
-        sig = gen_signal(SignalSpec("piecewise_constant", p, n, t=(t,),
-                                    energy_fraction=0.6))
+        sig = gen_signal("piecewise_constant", p, n, t=(t,), energy_fraction=0.6)
         rows, cols = np.arange(p // 2), np.arange(n // 2)
         X0 = sig.X[np.ix_(rows, cols)]
         rng = np.random.default_rng(55)
@@ -370,7 +369,7 @@ class TestFactoredEstimates:
     @staticmethod
     def _instance(seed, p=90, n=130):
         rng = np.random.default_rng(seed)
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(4.0, 2.5)), rng)
+        sig = gen_signal("random_orthonormal", p, n, t=(4.0, 2.5), rng=rng)
         return rng, sig.X + rng.standard_normal((p, n)) / np.sqrt(n)
 
     @staticmethod

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from spectral_denoise import cli, io, shrink_submatrix_baseline
-from spectral_denoise.simlab import NoiseSpec, SignalSpec, gen_noise, gen_signal
+from spectral_denoise.simlab import gen_noise, gen_signal
 
 
 @pytest.fixture
 def spiked_csv(tmp_path):
     rng = np.random.default_rng(17)
     p, n = 120, 180
-    sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(4.0, 2.6)), rng)
-    Y = sig.X + gen_noise(NoiseSpec(seed=99), p, n)
+    sig = gen_signal("random_orthonormal", p, n, t=(4.0, 2.6), rng=rng)
+    Y = sig.X + gen_noise("gaussian", p, n, seed=99)
     path = tmp_path / "Y.csv"
     io.write_dense_csv(path, Y)
     return path, Y, sig
@@ -326,10 +326,10 @@ class TestWhitenCommand:
     def test_with_files_and_estimated(self, tmp_path):
         rng = np.random.default_rng(23)
         p, n = 150, 260
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(5.0,)), rng)
+        sig = gen_signal("random_orthonormal", p, n, t=(5.0,), rng=rng)
         s = np.linspace(0.4, 1.0, p)
         t = np.linspace(0.4, 1.0, n)
-        G = gen_noise(NoiseSpec(seed=31), p, n)
+        G = gen_noise("gaussian", p, n, seed=31)
         Y = sig.X + np.sqrt(s)[:, None] * G * np.sqrt(t)[None, :]
         y_path = tmp_path / "Y.csv"
         io.write_dense_csv(y_path, Y)
@@ -349,8 +349,8 @@ class TestCompleteCommand:
     def _write_inputs(self, tmp_path, fmt):
         rng = np.random.default_rng(29)
         p, n = 100, 160
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n,
-                                    t=(10.0 * np.sqrt(n),)), rng)
+        sig = gen_signal("random_orthonormal", p, n,
+                         t=(10.0 * np.sqrt(n),), rng=rng)
         full = sig.X + rng.standard_normal((p, n))
         q_r, q_c = np.full(p, 0.95), np.full(n, 0.95)
         mask = rng.random((p, n)) < np.outer(q_r, q_c)

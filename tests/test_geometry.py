@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from spectral_denoise import (DimensionMismatchError, IllConditionedRecoveryError,
-                              WeightOperator, as_weight_operator, cosines,
-                              estimate_spike_params, recover_population_geometry,
+                              Partition, SamplingPattern, WeightOperator,
+                              as_weight_operator, cosines, estimate_spike_params,
+                              recover_population_geometry, submatrix_denoise,
                               trace_weight, weighted_gram)
 from spectral_denoise.spiked import SpikeParams
 
@@ -79,6 +80,20 @@ class TestAsWeightOperator:
     def test_wrong_width_rejected(self):
         with pytest.raises(DimensionMismatchError):
             as_weight_operator(np.ones(4), 5)
+
+
+# Index arrays of float or boolean dtype are rejected, not truncated to integers.
+@pytest.mark.parametrize("build, name", [
+    (lambda: WeightOperator.from_indices([0.7, 2.9], 4), "indices"),
+    (lambda: WeightOperator.from_indices([True, False, True], 3), "indices"),
+    (lambda: SamplingPattern(np.ones(3), np.ones(3), [0.5, 1.9], [0, 2.2], [1.0, 2.0]), "rows"),
+    (lambda: Partition.from_lists(3, [[0.4, 1.6], [2.0]]), "partition block"),
+    (lambda: submatrix_denoise(np.ones((4, 4)), [0.5, 3.7], [1.2]), "indices"),
+], ids=["from_indices-float", "from_indices-bool", "sampling-pattern", "partition",
+        "submatrix"])
+def test_non_integer_indices_rejected(build, name):
+    with pytest.raises(ValueError, match=f"{name} must hold integers"):
+        build()
 
 
 class TestRecoverPopulationGeometry:

@@ -8,7 +8,7 @@ from spectral_denoise import (DimensionMismatchError, Partition, WeightOperator,
                               spectral_denoise, spectral_fit, svs_shrink)
 from spectral_denoise import denoise
 from spectral_denoise.io import MatrixFileError
-from spectral_denoise.simlab import (SignalSpec, gen_signal, two_block_vectors,
+from spectral_denoise.simlab import (gen_signal, two_block_vectors,
                                      weighted_loss)
 
 
@@ -79,15 +79,15 @@ def test_frobenius_decomposition_identity():
 
 def _spiked_instance(rng, p, n, kind="generic"):
     if kind == "generic":
-        sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(4.0, 2.5)), rng)
+        sig = gen_signal("random_orthonormal", p, n, t=(4.0, 2.5), rng=rng)
     elif kind == "two-block":
         u_const, u_flip = two_block_vectors(p)
         v_const, v_flip = two_block_vectors(n)
         U = np.column_stack([u_flip, u_const])
         V = np.column_stack([v_flip, v_const])
-        sig = gen_signal(SignalSpec("custom", p, n, t=(4.0, 2.5), U=U, V=V))
+        sig = gen_signal("custom", p, n, t=(4.0, 2.5), U=U, V=V)
     else:
-        sig = gen_signal(SignalSpec("block_image", p, n, t=(5.0, 4.0, 3.2, 2.7, 2.3)))
+        sig = gen_signal("block_image", p, n, t=(5.0, 4.0, 3.2, 2.7, 2.3))
     Y = sig.X + rng.standard_normal((p, n)) / np.sqrt(n)
     return sig.X, Y
 
@@ -234,7 +234,7 @@ def test_strict_gain_for_heterogeneous_signal():
     # exceeds 3x its standard error over 50 replicates.
     rng = np.random.default_rng(37)
     p, n = 400, 400
-    sig = gen_signal(SignalSpec("block_image", p, n, t=(4.0, 3.2, 2.6)))
+    sig = gen_signal("block_image", p, n, t=(4.0, 3.2, 2.6))
     rows = make_equispaced_partition(p, 3)
     cols = make_equispaced_partition(n, 3)
     gaps = []
@@ -256,7 +256,7 @@ def test_strict_gain_for_checkerboard_with_cell_aligned_blocks():
     # The mean loss gap over shrinkage clears 3x its standard error.
     rng = np.random.default_rng(88)
     p = n = 400
-    sig = gen_signal(SignalSpec("checkerboard", p, n, f=0.8, cells=4))
+    sig = gen_signal("checkerboard", p, n, f=0.8, cells=4)
     sigma = 1 / (10 * np.sqrt(n))
     scale = 1 / (sigma * np.sqrt(n))
     rows = make_equispaced_partition(p, 4)
@@ -278,7 +278,7 @@ def test_two_cells_per_block_gains_nothing():
     # denoising collapses to shrinkage.
     rng = np.random.default_rng(41)
     p = n = 400
-    sig = gen_signal(SignalSpec("checkerboard", p, n, f=0.8, cells=8))
+    sig = gen_signal("checkerboard", p, n, f=0.8, cells=8)
     sigma = 1 / (10 * np.sqrt(n))
     scale = 1 / (sigma * np.sqrt(n))
     rows = make_equispaced_partition(p, 4)

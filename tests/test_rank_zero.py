@@ -20,7 +20,7 @@ from spectral_denoise import (DenoiseResult, LocalizedResult, NoiseCovariances,
                               shrink_submatrix_baseline, spectral_denoise, spectral_fit,
                               submatrix_denoise, svs_shrink, trace_weight,
                               whiten_denoise)
-from spectral_denoise.simlab import NoiseSpec, SignalSpec, gen_noise, gen_signal
+from spectral_denoise.simlab import gen_noise, gen_signal
 
 P, N = 60, 120
 #: Detection margin that keeps a pure-noise matrix's top singular value below
@@ -163,9 +163,9 @@ def test_zero_trace_weight_rejected(noise, how, side):
 @pytest.fixture
 def spiked(tmp_path):
     p, n = 80, 140
-    sig = gen_signal(SignalSpec("random_orthonormal", p, n, t=(4.0, 2.5)),
-                     np.random.default_rng(31))
-    Y = sig.X + gen_noise(NoiseSpec(seed=32), p, n)
+    sig = gen_signal("random_orthonormal", p, n, t=(4.0, 2.5),
+                     rng=np.random.default_rng(31))
+    Y = sig.X + gen_noise("gaussian", p, n, seed=32)
     path = tmp_path / "Y.csv"
     io.write_dense_csv(path, Y)
     return path, io.read_dense_csv(path)

@@ -1,16 +1,19 @@
 import csv
 import json
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectral_denoise import denoise
+from spectral_denoise import cli, denoise
 from spectral_denoise.errors import UndefinedMetricError
 from spectral_denoise.io import MatrixFileError
-from spectral_denoise.simlab import (NoiseSpec, SignalSpec, derive_seed,
-                                     gen_noise, gen_signal, make_rng,
+from spectral_denoise.simlab import (derive_seed, gen_noise, gen_signal, make_rng,
                                      relative_error, resolve_config,
                                      run_experiment, splitmix64, two_block_vectors)
 from spectral_denoise.simlab import scenarios
@@ -27,66 +30,65 @@ class TestCheckerboard:
                            indexing="ij")
         light = (I + J) % 2 == 0
         for f in (0.5, 0.6, 0.7, 0.95, 1.0):
-            sig = gen_signal(SignalSpec("checkerboard", 80, 80, f=f))
+            sig = gen_signal("checkerboard", 80, 80, f=f)
             assert np.sum(sig.X**2) == pytest.approx(1.0, abs=1e-12)
             assert np.sum(sig.X[light] ** 2) == pytest.approx(f, abs=1e-12)
 
     def test_rank_two_above_half(self):
-        sig = gen_signal(SignalSpec("checkerboard", 64, 96, f=0.7))
+        sig = gen_signal("checkerboard", 64, 96, f=0.7)
         assert sig.t.size == 2
         assert np.linalg.matrix_rank(sig.X) == 2
 
     def test_rank_one_at_half(self):
-        sig = gen_signal(SignalSpec("checkerboard", 64, 64, f=0.5))
+        sig = gen_signal("checkerboard", 64, 64, f=0.5)
         assert sig.t.size == 1
         assert np.ptp(sig.X) == pytest.approx(0.0, abs=1e-15)
 
     def test_dark_squares_zero_at_one(self):
-        sig = gen_signal(SignalSpec("checkerboard", 64, 64, f=1.0))
+        sig = gen_signal("checkerboard", 64, 64, f=1.0)
         assert np.min(np.abs(sig.X)) == pytest.approx(0.0, abs=1e-15)
 
     def test_factors_are_exact_svd(self):
-        sig = gen_signal(SignalSpec("checkerboard", 80, 120, f=0.8))
+        sig = gen_signal("checkerboard", 80, 120, f=0.8)
         assert np.allclose(sig.U.T @ sig.U, np.eye(2), atol=1e-12)
         assert np.allclose(sig.V.T @ sig.V, np.eye(2), atol=1e-12)
         assert np.allclose((sig.U * sig.t) @ sig.V.T, sig.X, atol=1e-14)
 
     def test_divisibility_required(self):
         with pytest.raises(ValueError):
-            gen_signal(SignalSpec("checkerboard", 81, 80, f=0.7))
+            gen_signal("checkerboard", 81, 80, f=0.7)
 
     def test_fraction_range(self):
         with pytest.raises(ValueError):
-            gen_signal(SignalSpec("checkerboard", 80, 80, f=0.4))
+            gen_signal("checkerboard", 80, 80, f=0.4)
 
 
 class TestOtherSignals:
     def test_random_orthonormal(self):
         rng = make_rng(1)
-        sig = gen_signal(SignalSpec("random_orthonormal", 50, 70, t=(3.0, 2.0, 1.0)),
-                         rng)
+        sig = gen_signal("random_orthonormal", 50, 70, t=(3.0, 2.0, 1.0), rng=rng)
         assert np.allclose(sig.U.T @ sig.U, np.eye(3), atol=1e-12)
         assert np.allclose(sig.V.T @ sig.V, np.eye(3), atol=1e-12)
         sv = np.linalg.svd(sig.X, compute_uv=False)[:3]
         assert np.allclose(sv, [3.0, 2.0, 1.0], atol=1e-10)
 
     def test_piecewise_constant_energy_split(self):
-        sig = gen_signal(SignalSpec("piecewise_constant", 100, 200, t=(2.0,),
-                                    energy_fraction=0.64))
+        sig = gen_signal("piecewise_constant", 100, 200, t=(2.0,),
+                         energy_fraction=0.64)
         u = sig.U[:, 0]
         assert np.sum(u[:50] ** 2) == pytest.approx(0.64, abs=1e-12)
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
     def test_piecewise_constant_rank_two_orthonormal(self):
-        sig = gen_signal(SignalSpec("piecewise_constant", 100, 100, t=(3.0, 2.0),
-                                    energy_fraction=0.5))
+        sig = gen_signal("piecewise_constant", 100, 100, t=(3.0, 2.0),
+                         energy_fraction=0.5)
         assert np.allclose(sig.U.T @ sig.U, np.eye(2), atol=1e-12)
 
     def test_two_block_pairs_orthonormal_at_every_size(self):
         for m in range(2, 42):
             for U in (np.column_stack(two_block_vectors(m)),
-                      gen_signal(SignalSpec("piecewise_constant", m, 2, t=(3.0, 2.0),
-                                            energy_fraction=0.7)).U):
+                      gen_signal("piecewise_constant", m, 2, t=(3.0, 2.0),
+                                 energy_fraction=0.7).U):
                 np.testing.assert_allclose(U.T @ U, np.eye(2), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scenario", ["rank-estimation", "weighted-inner-products"])
@@ -96,39 +98,50 @@ class TestOtherSignals:
         assert report.rows
 
     def test_block_image_orthonormal(self):
-        sig = gen_signal(SignalSpec("block_image", 90, 120, t=(4.0, 3.0, 2.0)))
+        sig = gen_signal("block_image", 90, 120, t=(4.0, 3.0, 2.0))
         assert np.allclose(sig.U.T @ sig.U, np.eye(3), atol=1e-12)
         assert np.allclose(sig.V.T @ sig.V, np.eye(3), atol=1e-12)
 
     def test_custom_requires_orthonormal(self):
         with pytest.raises(ValueError):
-            gen_signal(SignalSpec("custom", 10, 10, t=(1.0,),
-                                  U=np.ones((10, 1)), V=np.ones((10, 1))))
+            gen_signal("custom", 10, 10, t=(1.0,), U=np.ones((10, 1)), V=np.ones((10, 1)))
+
+    def test_param_the_kind_does_not_read_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            gen_signal("block_image", 10, 10, t=(1.0,), f=0.7)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("nope", {}, "unknown signal kind"),
+        ("random_orthonormal", {"t": (1.0,)}, "needs an rng"),
+        ("custom", {"t": (), "U": np.ones((10, 1)), "V": np.ones((10, 1))}, "need U, t and V"),
+    ], ids=["unknown-kind", "no-rng", "custom-without-t"])
+    def test_signal_domain_errors_name_the_problem(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            gen_signal(kind, 10, 10, **params)
 
 
 class TestGenNoise:
     def test_deterministic_given_seed(self):
-        a = gen_noise(NoiseSpec(seed=42), 30, 40)
-        b = gen_noise(NoiseSpec(seed=42), 30, 40)
+        a = gen_noise("gaussian", 30, 40, seed=42)
+        b = gen_noise("gaussian", 30, 40, seed=42)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = gen_noise(NoiseSpec(seed=1), 10, 10)
-        b = gen_noise(NoiseSpec(seed=2), 10, 10)
+        a = gen_noise("gaussian", 10, 10, seed=1)
+        b = gen_noise("gaussian", 10, 10, seed=2)
         assert not np.array_equal(a, b)
 
     def test_rademacher_support(self):
         n = 50
-        G = gen_noise(NoiseSpec(dist="rademacher", seed=3), 40, n)
+        G = gen_noise("rademacher", 40, n, seed=3)
         assert np.array_equal(np.unique(np.abs(G)), np.array([1 / np.sqrt(n)]))
 
     def test_default_scale_matches_model(self):
-        G = gen_noise(NoiseSpec(seed=4), 400, 400)
+        G = gen_noise("gaussian", 400, 400, seed=4)
         assert np.var(G) == pytest.approx(1 / 400, rel=0.05)
 
     def test_student_t_kurtosis(self):
-        G = gen_noise(NoiseSpec(dist="student_t", df=10.0, scale=1.0, seed=5),
-                      1000, 1000)
+        G = gen_noise("t10", 1000, 1000, seed=5, scale=1.0)
         x = G.ravel()
         kurt = np.mean(x**4) / np.mean(x**2) ** 2
         assert kurt > 3.0
@@ -136,15 +149,26 @@ class TestGenNoise:
 
     def test_heavy_tail_warns(self):
         with pytest.warns(RuntimeWarning):
-            gen_noise(NoiseSpec(dist="student_t", df=2.0, seed=6), 10, 10)
+            gen_noise("t2", 10, 10, seed=6)
 
     def test_bad_df_rejected(self):
         with pytest.raises(ValueError):
-            NoiseSpec(dist="student_t", df=0.0)
+            gen_noise("t0", 10, 10)
 
     def test_unknown_dist_rejected(self):
         with pytest.raises(ValueError):
-            NoiseSpec(dist="uniform")
+            gen_noise("uniform", 10, 10)
+
+    @pytest.mark.parametrize("dist", ["t_3", 3, 3.0])
+    def test_student_t_spellings_draw_identically(self, dist):
+        assert gen_noise(dist, 20, 30, seed=7).tobytes() \
+            == gen_noise("t3", 20, 30, seed=7).tobytes()
+
+    # "uniform" and "t0" are the two tests above.
+    @pytest.mark.parametrize("dist", ["t", "t-3", "tnan", "tinf", None, True, [3]])
+    def test_malformed_dist_rejected(self, dist):
+        with pytest.raises(ValueError, match="noise distribution"):
+            gen_noise(dist, 10, 10)
 
 
 class TestSeeds:
@@ -250,6 +274,40 @@ class TestRunner:
             resolve_config(path)
         with pytest.raises(MatrixFileError, match="config.json"):
             run_experiment(str(path))
+
+    BAD_CONFIGS = {
+        "params-null": {"params": None},
+        "params-number": {"params": 5},
+        "p-null": {"params": {"p": None}},
+        "dists-number": {"params": {"dists": 5}},
+        "dists-null-entry": {"params": {"dists": [None]}},
+        "replicates-null": {"replicates": None},
+        "seed-null": {"seed": None},
+        "scale-null": {"scale": None},
+        "scale-inf": {"scale": float("inf")},
+        "scale-nan": {"scale": float("nan")},
+        "kappa-grid-number": {"scenario": "heteroscedastic", "params": {"kappa_grid": 5}},
+        "n-grid-null-entry": {"scenario": "weighted-inner-products",
+                              "params": {"n_grid": [None]}},
+        "f-grid-empty": {"scenario": "submatrix", "params": {"f_grid": []}},
+        "range-of-three": {"scenario": "missing-data", "params": {"q_row_range": [0.3, 0.5, 0.7]}},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_malformed_config_value_is_a_domain_error(self, case, tmp_path):
+        config = dict({"scenario": "rank-estimation", "replicates": 1}, **self.BAD_CONFIGS[case])
+        with pytest.raises(ValueError):
+            run_experiment(config)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--output-dir", str(tmp_path / "o")]) == 5
+
+    def test_non_object_config_file_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        assert cli.main(["simulate", "--config", str(path), "--seed", "3",
+                         "--output-dir", str(tmp_path / "o")]) == 5
 
     def test_deterministic_rows(self):
         a = run_experiment(self.CONFIG)
@@ -375,3 +433,62 @@ def test_estimated_covariances_sit_between_oracle_and_plain():
     estimated = m["rel_err_whiten_estimated"]["mean"]
     plain = m["rel_err_shrink"]["mean"]
     assert oracle < estimated < plain
+
+
+# ---------------------------------------------------------------------------
+# Config fuzz: a value of the wrong JSON kind is a domain error, never a crash.
+# ---------------------------------------------------------------------------
+
+#: Sizes that keep every scenario's replicate to a few milliseconds.
+TINY = {"localized-checkerboard": {"n": 16}, "submatrix": {"p": 8, "n": 16},
+        "heteroscedastic": {"p": 10, "n": 20}, "missing-data": {"p": 10, "n": 20},
+        "weighted-inner-products": {"n_grid": [16]}, "rank-estimation": {"p": 8, "n": 16}}
+
+JSON_KINDS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "string": st.text(max_size=4),
+    "number": st.one_of(st.integers(), st.floats()),
+    "array": st.lists(st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=2)),
+                      max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+
+
+def _json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "array" if isinstance(value, (list, tuple)) else "object"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_of_wrong_json_kind_is_a_domain_error(data):
+    name = data.draw(st.sampled_from(sorted(SCENARIOS)))
+    config = {"scenario": name, "seed": 1, "replicates": 1, "params": dict(TINY[name])}
+    top = {"schema": 1, "scenario": name, "seed": 1, "replicates": 1, "scale": 1.0,
+           "params": {}}
+    keys = [("top", k) for k in top] + [("param", k) for k in SCENARIOS[name].defaults]
+    where, key = data.draw(st.sampled_from(keys))
+    original = top[key] if where == "top" else SCENARIOS[name].defaults[key]
+    kind = data.draw(st.sampled_from([k for k in JSON_KINDS if k != _json_kind(original)]))
+    value = data.draw(JSON_KINDS[kind])
+    (config if where == "top" else config["params"])[key] = value
+
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        # A numeric dist is Student-t; df <= 2 warns by design.
+        warnings.filterwarnings("ignore", "student_t noise", RuntimeWarning)
+        try:
+            run_experiment(config)
+        except ValueError:
+            pass
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(config))
+        code = cli.main(["simulate", "--config", str(path), "--output-dir", str(Path(tmp) / "o")])
+    assert code in (0, 5)
