@@ -75,8 +75,8 @@ def resolve_config(config) -> dict:
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"config {key!r} must be an integer, got {value!r}")
     scale = config.get("scale", 1.0)
-    if not (_is_number(scale) and scale > 0):
-        raise ValueError(f"config 'scale' must be a finite number above 0, got {scale!r}")
+    if not (_is_number(scale) and 0 < scale <= 1):
+        raise ValueError(f"config 'scale' must be a number in (0, 1], got {scale!r}")
     given = config.get("params", {})
     if not isinstance(given, dict):
         raise ValueError(f"config 'params' must be a JSON object, got {given!r}")

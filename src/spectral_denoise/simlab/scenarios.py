@@ -127,6 +127,9 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
     gamma = p / n
     r = int(params["rank"])
     t = tuple(gamma**0.25 + 0.5 + k for k in range(r))[::-1]
+    if min(params["kappa_grid"]) <= 0:
+        raise ValueError("heteroscedastic param 'kappa_grid' must hold numbers above 0, "
+                         f"got {params['kappa_grid']!r}")
     out = []
     for k, kappa in enumerate(params["kappa_grid"]):
         rng = make_rng(derive_seed(seed, 2 * k))
@@ -200,6 +203,10 @@ def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
 def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
     gamma = float(params["gamma"])
     frac = float(params["omega_fraction"])
+    if not 0 < frac <= 1 or any(round(frac * round(gamma * int(n))) < 1
+                                for n in params["n_grid"]):
+        raise ValueError("weighted-inner-products param 'omega_fraction' must be in (0, 1] "
+                         f"and keep at least one row, got {frac!r}")
     out = []
     k = 0
     for n in params["n_grid"]:

@@ -303,6 +303,33 @@ class TestRunner:
         assert cli.main(["simulate", "--config", str(path),
                          "--output-dir", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize("config, key", [
+        ({"scale": 1.5}, "scale"),
+        ({"scale": 1e300}, "scale"),
+        ({"scenario": "heteroscedastic", "params": {"kappa_grid": [0]}}, "kappa_grid"),
+        ({"scenario": "heteroscedastic", "params": {"kappa_grid": [10.0, -1.0]}}, "kappa_grid"),
+        ({"scenario": "weighted-inner-products", "params": {"omega_fraction": 0}},
+         "omega_fraction"),
+        # n = 500 gives p = 1000 rows, and round(0.0004 * 1000) == 0
+        ({"scenario": "weighted-inner-products", "params": {"omega_fraction": 0.0004}},
+         "omega_fraction"),
+    ], ids=["scale-1.5", "scale-1e300", "kappa-0", "kappa-negative", "omega-0",
+            "omega-keeps-no-row"])
+    def test_out_of_range_value_is_named_before_any_draw(self, config, key, tmp_path,
+                                                         monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(scenarios, "gen_signal", no_draw)
+        monkeypatch.setattr(scenarios, "gen_noise", no_draw)
+        config = dict({"scenario": "rank-estimation", "replicates": 1}, **config)
+        with pytest.raises(ValueError, match=key):
+            run_experiment(config)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(path),
+                         "--output-dir", str(tmp_path / "o")]) == 5
+
     def test_non_object_config_file_is_a_domain_error(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1]")
