@@ -104,7 +104,7 @@ def _partition_from_args(args, side: str, dim: int) -> Partition:
     part_file = getattr(args, f"{side}_partition")
     if part_file:
         return Partition.from_json(part_file, dim)
-    return make_equispaced_partition(dim, blocks if blocks else 1)
+    return make_equispaced_partition(dim, 1 if blocks is None else blocks)
 
 
 def _cmd_localized(args) -> int:
@@ -150,6 +150,8 @@ def _cmd_whiten(args) -> int:
 
 
 def _cmd_complete(args) -> int:
+    if not (np.isfinite(args.noise_sd) and args.noise_sd > 0):
+        raise ValueError(f"--noise-sd must be finite and > 0, got {args.noise_sd}")
     q_row = _vector_from_csv(args.q_row)
     q_col = _vector_from_csv(args.q_col)
     if args.input_format == "coordinate":

@@ -26,7 +26,7 @@ from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
-                     forward_singular_value, _check_margin, _check_rank)
+                     forward_singular_value, _check_margin, _check_int)
 
 __all__ = [
     "SpectralFit",
@@ -215,7 +215,7 @@ def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     if rank is None:
         U, s, V, _ = svd_head_above(Y, bulk_edge(gamma) + margin)
     else:
-        r = _check_rank(rank)
+        r = _check_int(rank, "rank")
         if r < 0 or r > min(p, n):
             raise ValueError(f"rank must be between 0 and {min(p, n)}")
         U, s, V, _ = top_svd(Y, r)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._blas import abt
-from .errors import DimensionMismatchError, IllConditionedRecoveryError
+from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
 from .spiked import SpikeParams
 
 __all__ = [
@@ -54,6 +54,8 @@ class WeightOperator:
     """A linear weight map acting on vectors of length ``dim``."""
 
     def __init__(self, kind: str, data, dim: int):
+        if kind not in ("dense", "diag", "indices", "identity"):
+            raise ValueError(f"unknown weight kind {kind!r}")
         self.kind = kind
         self.data = data
         self.dim = int(dim)
@@ -113,7 +115,8 @@ class WeightOperator:
             return float(self.dim)
         if self.kind == "indices":
             return float(self.data.size)
-        return float(np.sum(self.data**2))
+        with np.errstate(over="ignore"):  # an overflow is reported by the geometry check
+            return float(np.sum(self.data**2))
 
     def __repr__(self):
         return f"WeightOperator(kind={self.kind!r}, dim={self.dim})"
@@ -169,7 +172,8 @@ def weighted_gram(vectors, omega: WeightOperator) -> np.ndarray:
         raise ValueError("columns must be unit vectors (within 1e-8)")
     w = omega.apply(v)
     gram = abt(w.T, w.T)
-    return (gram + gram.T) / 2.0
+    with np.errstate(over="ignore"):  # an overflow is reported by the geometry check
+        return (gram + gram.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -250,7 +254,9 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
 
     and symmetrically on the right with ``beta``, ``nu``.  Energies that
     fall below ``ALPHA_FLOOR`` are clipped up to it and their component
-    indices recorded in ``clipped``.
+    indices recorded in ``clipped``.  At rank ``r > 0``, a side whose trace
+    or recovered Gram is not finite (a weight whose square overflows)
+    raises :class:`DegenerateEstimateError`.
     """
     D = np.asarray(gram_left, dtype=float)
     Dt = np.asarray(gram_right, dtype=float)
@@ -264,8 +270,12 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
         raise ValueError("normalized weight traces mu, nu must be positive")
 
     _check_cosines(spikes)
-    alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu)
-    beta, Et, Ct, clip_r = _recover_side(Dt, spikes.c_tilde, spikes.s_tilde, nu)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, E, C, clip_l = _recover_side(D, spikes.c, spikes.s, mu)
+        beta, Et, Ct, clip_r = _recover_side(Dt, spikes.c_tilde, spikes.s_tilde, nu)
+    for side, trace, pop in (("row", mu, E), ("column", nu, Et)):
+        if r and not (np.isfinite(trace) and np.all(np.isfinite(pop))):
+            raise DegenerateEstimateError(f"the {side} weight's recovered geometry is not finite")
     clipped = tuple(sorted(set(clip_l.tolist()) | set(clip_r.tolist())))
 
     return WeightedGeometry(r, spikes.t.copy(), D, Dt, E, Et, C, Ct,

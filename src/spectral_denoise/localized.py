@@ -24,6 +24,7 @@ import numpy as np
 from . import io
 from .denoise import LocalizedResult, spectral_fit
 from .geometry import _index_array
+from .spiked import _check_int
 
 __all__ = [
     "Partition",
@@ -86,8 +87,8 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
 
     The first ``dim % num_blocks`` blocks take the larger size.
     """
-    dim = int(dim)
-    num_blocks = int(num_blocks)
+    dim = _check_int(dim, "dim")
+    num_blocks = _check_int(num_blocks, "num_blocks")
     if not 1 <= num_blocks <= dim:
         raise ValueError(f"num_blocks must be in [1, {dim}], got {num_blocks}")
     blocks = np.array_split(np.arange(dim, dtype=np.intp), num_blocks)

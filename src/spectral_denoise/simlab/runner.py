@@ -40,15 +40,22 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_param(name: str, key: str, value, default) -> None:
-    """A param takes its default's kind; ``dist`` values are left to ``gen_noise``."""
+    """A param takes its default's kind: integers for an ``int``, finite numbers for a
+    ``float``, element-wise for a list; ``dist`` values are left to ``gen_noise``."""
     if isinstance(default, (list, tuple)):
-        numeric = all(map(_is_number, default))
+        kind = next((k for k in (_is_int, _is_number) if all(map(k, default))), None)
         if (not isinstance(value, (list, tuple)) or not value
-                or (numeric and not all(map(_is_number, value)))
+                or (kind and not all(map(kind, value)))
                 or (isinstance(default, tuple) and len(value) != len(default))):
             raise ValueError(f"{name} param {key!r} must be a list like {list(default)!r}, "
                              f"got {value!r}")
+    elif _is_int(default) and not _is_int(value):
+        raise ValueError(f"{name} param {key!r} must be an integer, got {value!r}")
     elif _is_number(default) and not _is_number(value):
         raise ValueError(f"{name} param {key!r} must be a finite number, got {value!r}")
 

@@ -48,16 +48,15 @@ def offset_partition(dim: int, num_blocks: int, offset: int) -> Partition:
 # ---------------------------------------------------------------------------
 
 def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
-    n = int(params["n"])
+    n = params["n"]
     p = int(round(params["gamma"] * n))
     f = float(params["f"])
-    cells = int(params["cells"])
-    sig = gen_signal("checkerboard", p, n, f=f, cells=cells)
+    sig = gen_signal("checkerboard", p, n, f=f, cells=params["cells"])
     sd_scale = float(params["noise_sd_scale"])
     sigma = sd_scale / np.sqrt(n)
 
-    rows = offset_partition(p, int(params["row_blocks"]), int(params["row_offset"]))
-    cols = offset_partition(n, int(params["col_blocks"]), int(params["col_offset"]))
+    rows = offset_partition(p, params["row_blocks"], params["row_offset"])
+    cols = offset_partition(n, params["col_blocks"], params["col_offset"])
 
     noise = gen_noise(params["dist"], p, n, seed, sigma)
     Y = sig.X + noise
@@ -88,8 +87,7 @@ def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
-    p = int(params["p"])
-    n = int(params["n"])
+    p, n = params["p"], params["n"]
     gamma = p / n
     t = gamma**0.25 + float(params["t_offset"])
     rows_idx = np.arange(p // 2)
@@ -122,11 +120,9 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
-    p = int(params["p"])
-    n = int(params["n"])
+    p, n = params["p"], params["n"]
     gamma = p / n
-    r = int(params["rank"])
-    t = tuple(gamma**0.25 + 0.5 + k for k in range(r))[::-1]
+    t = tuple(gamma**0.25 + 0.5 + k for k in range(params["rank"]))[::-1]
     if min(params["kappa_grid"]) <= 0:
         raise ValueError("heteroscedastic param 'kappa_grid' must hold numbers above 0, "
                          f"got {params['kappa_grid']!r}")
@@ -161,11 +157,9 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
-    p = int(params["p"])
-    n = int(params["n"])
+    p, n = params["p"], params["n"]
     gamma = p / n
-    r = int(params["rank"])
-    t = tuple(np.sqrt(np.sqrt(gamma) + 200.0 * k) for k in range(r, 0, -1))
+    t = tuple(np.sqrt(np.sqrt(gamma) + 200.0 * k) for k in range(params["rank"], 0, -1))
     q_row = np.linspace(*params["q_row_range"], p)
     q_col = np.linspace(*params["q_col_range"], n)
     out = []
@@ -203,14 +197,13 @@ def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
 def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
     gamma = float(params["gamma"])
     frac = float(params["omega_fraction"])
-    if not 0 < frac <= 1 or any(round(frac * round(gamma * int(n))) < 1
+    if not 0 < frac <= 1 or any(round(frac * round(gamma * n)) < 1
                                 for n in params["n_grid"]):
         raise ValueError("weighted-inner-products param 'omega_fraction' must be in (0, 1] "
                          f"and keep at least one row, got {frac!r}")
     out = []
     k = 0
     for n in params["n_grid"]:
-        n = int(n)
         p = int(round(gamma * n))
         sig = _two_block_signal(p, n, gamma)
         keep = int(round(frac * p))
@@ -243,8 +236,7 @@ def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
-    p = int(params["p"])
-    n = int(params["n"])
+    p, n = params["p"], params["n"]
     gamma = p / n
     sig = _two_block_signal(p, n, gamma, offsets=(2.0, 1.0))
     oracle_rank = sig.t.size
@@ -271,9 +263,7 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _scale_localized(params: dict, scale: float) -> dict:
-    cells = int(params["cells"])
-    blocks = max(int(params["row_blocks"]), int(params["col_blocks"]))
-    quantum = cells * blocks
+    quantum = params["cells"] * max(params["row_blocks"], params["col_blocks"])
     n = max(quantum, int(round(params["n"] * scale / quantum)) * quantum)
     return dict(params, n=n)
 

@@ -1,9 +1,10 @@
 """Synthetic low-rank signals with exact SVD factors.
 
 ``gen_signal(kind, p, n, **params)`` draws any of the five kinds, each
-with its own keywords.  Every kind returns the signal matrix together
-with its singular value decomposition so experiments can measure exact
-losses and compare against the recovered spiked-model parameters.
+with its own keywords.  A kind's maker returns the SVD factors
+``(U, t, V)``; ``gen_signal`` checks them once and forms ``X``, so
+experiments can measure exact losses against the recovered spiked-model
+parameters.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
+from ..spiked import _check_int
 
 __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
@@ -38,7 +40,7 @@ def two_block_vectors(m: int):
     return const, flip
 
 
-def _checkerboard(p, n, f=0.7, cells=8) -> Signal:
+def _checkerboard(p, n, f=0.7, cells=8):
     if not 0.5 <= f <= 1.0:
         raise ValueError(f"light-square energy fraction must be in [1/2, 1], got {f}")
     if cells < 2 or cells % 2:
@@ -50,36 +52,23 @@ def _checkerboard(p, n, f=0.7, cells=8) -> Signal:
     # the second.
     t1 = (np.sqrt(f) + np.sqrt(1.0 - f)) / np.sqrt(2.0)
     t2 = (np.sqrt(f) - np.sqrt(1.0 - f)) / np.sqrt(2.0)
-    sign_r = np.repeat(np.where(np.arange(cells) % 2 == 0, 1.0, -1.0), p // cells)
-    sign_c = np.repeat(np.where(np.arange(cells) % 2 == 0, 1.0, -1.0), n // cells)
-    u1 = np.full(p, 1.0 / np.sqrt(p))
-    v1 = np.full(n, 1.0 / np.sqrt(n))
-    if t2 <= 0:
-        U = u1[:, None]
-        V = v1[:, None]
-        t = np.array([t1])
-    else:
-        U = np.column_stack([u1, sign_r / np.sqrt(p)])
-        V = np.column_stack([v1, sign_c / np.sqrt(n)])
-        t = np.array([t1, t2])
-    return Signal(abt(U * t, V), U, t, V)
+    sign = np.tile([1.0, -1.0], cells // 2)
+    U, V = (np.column_stack([np.full(m, 1.0), np.repeat(sign, m // cells)]) / np.sqrt(m)
+            for m in (p, n))
+    r = 1 if t2 <= 0 else 2
+    return U[:, :r], np.array([t1, t2])[:r], V[:, :r]
 
 
-def _random_orthonormal(p, n, t, rng=None) -> Signal:
+def _random_orthonormal(p, n, t, rng=None):
     if rng is None:
         raise ValueError("random_orthonormal needs an rng")
-    t = np.asarray(t, dtype=float)
-    r = t.size
-    if r == 0 or np.any(t <= 0) or np.any(np.diff(t) >= 0) and r > 1:
-        raise ValueError("t must be a nonempty, strictly decreasing positive vector")
-    U, V = (np.ascontiguousarray(qr(rng.standard_normal((m, r)), mode="economic")[0])
+    U, V = (np.ascontiguousarray(qr(rng.standard_normal((m, np.size(t))), mode="economic")[0])
             for m in (p, n))
-    return Signal(abt(U * t, V), U, t, V)
+    return U, t, V
 
 
-def _piecewise_constant(p, n, t, energy_fraction=0.5) -> Signal:
-    t = np.asarray(t, dtype=float)
-    r = t.size
+def _piecewise_constant(p, n, t, energy_fraction=0.5):
+    r = np.size(t)
     if r not in (1, 2):
         raise ValueError("piecewise_constant supports rank 1 or 2")
     rho = float(energy_fraction)
@@ -87,29 +76,21 @@ def _piecewise_constant(p, n, t, energy_fraction=0.5) -> Signal:
         raise ValueError("energy_fraction must lie strictly between 0 and 1")
 
     def side(m):
+        if m < 2:
+            raise ValueError(f"piecewise_constant needs p, n >= 2, got {m}")
         h = m // 2
-        a = np.sqrt(rho / h)
-        b = np.sqrt((1.0 - rho) / (m - h))
-        first = np.concatenate([np.full(h, a), np.full(m - h, b)])
-        if r == 1:
-            return first[:, None]
+        first = np.concatenate([np.full(h, np.sqrt(rho / h)),
+                                np.full(m - h, np.sqrt((1.0 - rho) / (m - h)))])
         # Orthogonal complement within the two-block subspace.
         second = np.concatenate([np.full(h, np.sqrt((1.0 - rho) / h)),
                                  np.full(m - h, -np.sqrt(rho / (m - h)))])
-        return np.column_stack([first, second])
+        return np.column_stack([first, second])[:, :r]
 
-    U = side(p)
-    V = side(n)
-    return Signal(abt(U * t, V), U, t, V)
+    return side(p), t, side(n)
 
 
-def _block_image(p, n, t) -> Signal:
-    t = np.asarray(t, dtype=float)
-    r = t.size
-    if r < 1:
-        raise ValueError("block_image needs at least one singular value")
-    if np.any(t <= 0) or (r > 1 and np.any(np.diff(t) >= 0)):
-        raise ValueError("t must be strictly decreasing and positive")
+def _block_image(p, n, t):
+    r = np.size(t)
     if p < r or n < r:
         raise ValueError("dimensions too small for the requested rank")
 
@@ -117,28 +98,16 @@ def _block_image(p, n, t) -> Signal:
         edges = np.linspace(0, m, r + 1).astype(int)
         cols = np.zeros((m, r))
         for k in range(r):
-            size = edges[k + 1] - edges[k]
-            cols[edges[k]:edges[k + 1], k] = 1.0 / np.sqrt(size)
+            cols[edges[k]:edges[k + 1], k] = 1.0 / np.sqrt(edges[k + 1] - edges[k])
         return cols
 
-    U = bands(p)
-    V = bands(n)[::-1]  # anti-diagonal mosaic, keeps columns orthonormal
-    return Signal(abt(U * t, V), U, t, V)
+    return bands(p), t, bands(n)[::-1]  # anti-diagonal mosaic, columns stay orthonormal
 
 
-def _custom(p, n, t, U, V) -> Signal:
-    if U is None or V is None or not len(t):
+def _custom(p, n, t, U, V):
+    if U is None or V is None or not np.size(t):
         raise ValueError("custom signals need U, t and V")
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    t = np.asarray(t, dtype=float)
-    r = t.size
-    if U.shape != (p, r) or V.shape != (n, r):
-        raise ValueError("U and V shapes must match (p, r) and (n, r)")
-    for M, name in ((U, "U"), (V, "V")):
-        if np.max(np.abs(abt(M.T, M.T) - np.eye(r))) > 1e-8:
-            raise ValueError(f"{name} columns must be orthonormal")
-    return Signal(abt(U * t, V), U, t, V)
+    return U, t, V
 
 
 _MAKERS = {"checkerboard": _checkerboard, "random_orthonormal": _random_orthonormal,
@@ -162,8 +131,24 @@ def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
     * ``block_image(t)`` -- rank-``len(t)`` mosaic of disjoint row/column bands, a
       logo-like image whose singular vectors are strongly localized.
     * ``custom(t, U, V)`` -- explicit orthonormal ``U``, ``V`` and values ``t``.
+
+    Positive integers ``p``, ``n``; a nonempty, finite, positive, nonincreasing ``t`` (ties
+    allowed); ``U`` ``p x r`` and ``V`` ``n x r`` orthonormal to ``1e-8``, else ``ValueError``.
     """
     maker = _MAKERS.get(kind)
     if maker is None:
         raise ValueError(f"unknown signal kind {kind!r}")
-    return maker(p, n, **params)
+    for m, name in ((p, "p"), (n, "n")):
+        if _check_int(m, f"{kind} signal {name}") < 1:
+            raise ValueError(f"{kind} signal {name} must be positive, got {m}")
+    U, t, V = (np.asarray(a, dtype=float) for a in maker(p, n, **params))
+    r = t.size
+    if t.ndim != 1 or not (r and np.all(np.isfinite(t) & (t > 0)) and np.all(np.diff(t) <= 0)):
+        raise ValueError(f"{kind} signal t must be a nonempty, finite, positive and "
+                         f"nonincreasing vector, got {t.tolist()}")
+    for M, m, name in ((U, p, "U"), (V, n, "V")):
+        if M.shape != (m, r):
+            raise ValueError(f"{kind} signal {name} must be {m} x {r}, got shape {M.shape}")
+        if not np.max(np.abs(abt(M.T, M.T) - np.eye(r))) <= 1e-8:
+            raise ValueError(f"{kind} signal {name} columns must be orthonormal")
+    return Signal(abt(U * t, V), U, t, V)

@@ -46,10 +46,11 @@ def _check_margin(margin: float) -> float:
     return margin
 
 
-def _check_rank(rank) -> int:
-    if isinstance(rank, bool) or not hasattr(type(rank), "__index__"):
-        raise ValueError(f"rank must be an integer, got {rank!r}")
-    return operator.index(rank)
+def _check_int(value, name: str) -> int:
+    """``value`` as an ``int``; floats, booleans and other non-integers raise ``ValueError``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _check_t(t) -> np.ndarray:
@@ -210,7 +211,7 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
     if rank is None:
         rank = naive_rank(sv, gamma, margin=margin)
     else:
-        rank = _check_rank(rank)
+        rank = _check_int(rank, "rank")
         if rank < 0:
             raise ValueError("rank must be nonnegative")
         if rank > sv.size:

@@ -265,6 +265,15 @@ class TestDenoiseCommands:
         assert cli.main([command, "--input", str(path), flag, str(bad), *extra,
                          "--output", str(tmp_path / "x.csv")]) == 2
 
+    def test_overflowing_weight_exits_5(self, tmp_path, spiked_csv, capsys):
+        path, Y, sig = spiked_csv
+        diag = tmp_path / "w.csv"
+        io.write_dense_csv(diag, np.full((1, Y.shape[0]), 1e160))
+        assert cli.main(["denoise", "--input", str(path), "--row-weight-diag", str(diag),
+                         "--output", str(tmp_path / "x.csv")]) == 5
+        assert "row weight" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_dimension_mismatch_exits_3(self, tmp_path, spiked_csv):
         path, Y, sig = spiked_csv
         diag = tmp_path / "w.csv"
@@ -286,6 +295,13 @@ class TestLocalizedCommand:
                          "--row-partition", str(part), "--col-blocks", "3",
                          "--output", str(b)]) == 0
         assert np.array_equal(io.read_dense_csv(a), io.read_dense_csv(b))
+
+    @pytest.mark.parametrize("flag", ["--row-blocks", "--col-blocks"])
+    def test_zero_blocks_exits_5(self, tmp_path, spiked_csv, capsys, flag):
+        path, Y, sig = spiked_csv
+        assert cli.main(["localized", "--input", str(path), flag, "0",
+                         "--output", str(tmp_path / "x.csv")]) == 5
+        assert "num_blocks" in capsys.readouterr().err
 
 
 class TestSubmatrixCommand:
@@ -384,6 +400,15 @@ class TestCompleteCommand:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["rank"] >= 1
         assert report["observed_entries"] > 0
+
+    @pytest.mark.parametrize("sd", ["inf", "nan", "0", "-1"])
+    def test_noise_sd_must_be_finite_and_positive(self, tmp_path, capsys, sd):
+        # No input file exists: the value is rejected before any file is read.
+        missing = str(tmp_path / "missing.csv")
+        assert cli.main(["complete", "--input", missing, "--q-row", missing,
+                         "--q-col", missing, f"--noise-sd={sd}",
+                         "--output", str(tmp_path / "x.csv")]) == 5
+        assert "--noise-sd" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spectral_denoise import (DimensionMismatchError, IllConditionedRecoveryError,
-                              Partition, SamplingPattern, WeightOperator,
-                              as_weight_operator, cosines, estimate_spike_params,
-                              recover_population_geometry, submatrix_denoise,
-                              trace_weight, weighted_gram)
+from spectral_denoise import (DegenerateEstimateError, DimensionMismatchError,
+                              IllConditionedRecoveryError, Partition, SamplingPattern,
+                              WeightOperator, as_weight_operator, cosines,
+                              diagonal_denoise, estimate_spike_params,
+                              recover_population_geometry, spectral_denoise,
+                              submatrix_denoise, trace_weight, weighted_gram)
 from spectral_denoise.spiked import SpikeParams
 
 
@@ -94,6 +95,37 @@ class TestAsWeightOperator:
 def test_non_integer_indices_rejected(build, name):
     with pytest.raises(ValueError, match=f"{name} must hold integers"):
         build()
+
+
+def test_unknown_weight_kind_rejected():
+    with pytest.raises(ValueError, match="unknown weight kind 'bogus'"):
+        WeightOperator("bogus", None, 4)
+
+
+def _spiked_40x80():
+    rng = np.random.default_rng(12)
+    U, _ = np.linalg.qr(rng.standard_normal((40, 2)))
+    V, _ = np.linalg.qr(rng.standard_normal((80, 2)))
+    return (U * [5.0, 4.0]) @ V.T + rng.standard_normal((40, 80)) / np.sqrt(80)
+
+
+# A weight whose square overflows: in the Gram and the trace, in the trace alone
+# (each 1e154**2 fits, their sum over 40 rows does not), dense, and on the columns.
+@pytest.mark.parametrize("weights, side", [
+    ({"omega": np.full(40, 1e160)}, "row"),
+    ({"omega": np.full(40, 1e154)}, "row"),
+    ({"omega": 1e200 * np.eye(40)}, "row"),
+    ({"pi": np.full(80, 1e160)}, "column"),
+], ids=["diagonal", "trace-only", "dense", "column"])
+@pytest.mark.parametrize("denoiser", [spectral_denoise, diagonal_denoise])
+def test_overflowing_weight_is_a_degenerate_estimate(denoiser, weights, side):
+    with pytest.raises(DegenerateEstimateError, match=f"{side} weight"):
+        denoiser(_spiked_40x80(), **weights)
+
+
+def test_overflowing_weight_at_rank_zero_gives_the_zero_estimate():
+    res = spectral_denoise(_spiked_40x80(), np.full(40, 1e160), rank=0)
+    assert res.rank == 0 and np.all(res.estimate == 0) and res.amse_estimate == 0.0
 
 
 class TestRecoverPopulationGeometry:

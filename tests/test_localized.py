@@ -32,6 +32,14 @@ class TestPartition:
         with pytest.raises(ValueError):
             make_equispaced_partition(4, 0)
 
+    # Sizes are counts: a float or a boolean is rejected, not truncated to an int.
+    @pytest.mark.parametrize("dim, num_blocks, name", [
+        (5.7, 2, "dim"), (True, 1, "dim"), (6, 2.0, "num_blocks"), (5, True, "num_blocks"),
+    ], ids=["dim-float", "dim-bool", "blocks-float", "blocks-bool"])
+    def test_non_integer_size_rejected(self, dim, num_blocks, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            make_equispaced_partition(dim, num_blocks)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Partition(4, (np.array([0, 1]), np.array([1, 2, 3])))  # overlap

@@ -1,9 +1,10 @@
-"""Property sweep over shapes, ranks and sampling patterns.
+"""Property sweep over shapes, ranks, sampling patterns and signal kinds.
 
 Each case draws ``p, n`` in 6..40 and a seed (and, for the denoisers, a
 forced rank 0-3), and plants three spikes well clear of the bulk edge, so
 every forced rank is detectable.  The sampling-pattern properties are exact (bytes); the
-paper's identities hold to 1e-10 of the largest entry.
+paper's identities hold to 1e-10 of the largest entry, and every simlab signal kind
+is its own SVD.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from spectral_denoise import (Partition, SamplingPattern, SpectralDenoiseError,
                               WeightOperator, backproject, diagonal_denoise,
                               localized_denoise, missing_data_denoise,
                               spectral_denoise, svs_shrink)
+from spectral_denoise.simlab import gen_signal, make_rng
 
 SWEEP = settings(max_examples=40, deadline=None, derandomize=True)
 SHAPES = dict(p=st.integers(6, 40), n=st.integers(6, 40), seed=st.integers(0, 2**32 - 1))
@@ -122,3 +124,36 @@ def test_full_observation_equals_scaled_shrinkage(p, n, rank, seed):
     assert res.rank == rank
     assert np.array_equal(res.estimate, res.left @ res.right.T)
     assert close(res.estimate, np.sqrt(n) * svs_shrink(full / np.sqrt(n), rank=rank).estimate)
+
+
+def signal_params(kind, rng, p, n, tie):
+    """Valid keywords for a ``kind`` draw; ``tie`` makes the first two values equal."""
+    if kind == "checkerboard":
+        return {"f": 1.0 if tie else rng.uniform(0.5, 1.0), "cells": 2}
+    r = int(rng.integers(1, 3 if kind == "piecewise_constant" else 4))
+    t = np.sort(rng.uniform(0.5, 5.0, r))[::-1]
+    if tie:
+        t[1:2] = t[0]
+    if kind == "random_orthonormal":
+        return {"t": t, "rng": make_rng(int(rng.integers(2**32)))}
+    if kind == "piecewise_constant":
+        return {"t": t, "energy_fraction": rng.uniform(0.05, 0.95)}
+    if kind == "custom":
+        return {"t": t, "U": np.linalg.qr(rng.standard_normal((p, r)))[0],
+                "V": np.linalg.qr(rng.standard_normal((n, r)))[0]}
+    return {"t": t}
+
+
+@SWEEP
+@given(kind=st.sampled_from(["checkerboard", "random_orthonormal", "piecewise_constant",
+                             "block_image", "custom"]), tie=st.booleans(), **SHAPES)
+def test_every_signal_kind_is_an_exact_svd(kind, tie, p, n, seed):
+    if kind == "checkerboard":  # two cells per side
+        p, n = p - p % 2, n - n % 2
+    sig = gen_signal(kind, p, n, **signal_params(kind, np.random.default_rng(seed), p, n, tie))
+    r = sig.t.size
+    assert sig.X.shape == (p, n) and sig.U.shape == (p, r) and sig.V.shape == (n, r)
+    np.testing.assert_allclose(sig.X, (sig.U * sig.t) @ sig.V.T, rtol=0, atol=1e-12)
+    for M in (sig.U, sig.V):
+        np.testing.assert_allclose(M.T @ M, np.eye(r), rtol=0, atol=1e-12)
+    assert np.all(sig.t > 0) and np.all(np.diff(sig.t) <= 0)

@@ -47,6 +47,7 @@ class TestCheckerboard:
     def test_dark_squares_zero_at_one(self):
         sig = gen_signal("checkerboard", 64, 64, f=1.0)
         assert np.min(np.abs(sig.X)) == pytest.approx(0.0, abs=1e-15)
+        assert sig.t[0] == sig.t[1]  # a tie, which an SVD allows
 
     def test_factors_are_exact_svd(self):
         sig = gen_signal("checkerboard", 80, 120, f=0.8)
@@ -114,10 +115,51 @@ class TestOtherSignals:
         ("nope", {}, "unknown signal kind"),
         ("random_orthonormal", {"t": (1.0,)}, "needs an rng"),
         ("custom", {"t": (), "U": np.ones((10, 1)), "V": np.ones((10, 1))}, "need U, t and V"),
-    ], ids=["unknown-kind", "no-rng", "custom-without-t"])
+        ("piecewise_constant", {"t": (3.0, 2.0, 1.0)}, "rank 1 or 2"),
+        ("piecewise_constant", {"t": (1.0,), "energy_fraction": 1.0}, "energy_fraction"),
+        ("block_image", {"t": (1.0,) * 11}, "dimensions too small"),
+        ("custom", {"t": (2.0, 1.0), "U": np.eye(10, 2), "V": np.eye(9, 2)}, "V must be 10 x 2"),
+    ], ids=["unknown-kind", "no-rng", "custom-without-t", "piecewise-rank-3",
+            "piecewise-fraction", "block-image-rank", "custom-shape"])
     def test_signal_domain_errors_name_the_problem(self, kind, params, message):
         with pytest.raises(ValueError, match=message):
             gen_signal(kind, 10, 10, **params)
+
+    def test_tied_values_are_an_svd(self):
+        for kind, extra in (("random_orthonormal", {"rng": make_rng(2)}), ("block_image", {})):
+            sig = gen_signal(kind, 12, 15, t=(2.0, 2.0, 1.0), **extra)
+            np.testing.assert_array_equal(sig.t, [2.0, 2.0, 1.0])
+
+
+def _with_t(kind, t):
+    """``gen_signal`` keywords for ``kind`` at ``10 x 10`` with values ``t``."""
+    r = max(np.size(t), 1)
+    extra = {"random_orthonormal": {"rng": make_rng(0)},
+             "custom": {"U": np.eye(10, r), "V": np.eye(10, r)}}.get(kind, {})
+    return dict(extra, t=t)
+
+
+T_KINDS = ["random_orthonormal", "piecewise_constant", "block_image", "custom"]
+BAD_T = {"empty": (), "negative": (-1.0,), "nan": (float("nan"),),
+         "inf": (float("inf"), 1.0), "2-d": [[3.0, 2.0]], "increasing": (2.0, 3.0)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_T))
+@pytest.mark.parametrize("kind", T_KINDS)
+def test_every_kind_rejects_values_that_are_not_singular_values(kind, case):
+    with pytest.raises(ValueError, match=kind):
+        gen_signal(kind, 10, 10, **_with_t(kind, BAD_T[case]))
+
+
+# RuntimeWarnings are errors in this suite, so a division by zero fails here too.
+@pytest.mark.parametrize("p, n", [(0, 10), (1, 10), (10, 0), (10, 1), (2.0, 10), (True, 10)])
+@pytest.mark.parametrize("kind", ["checkerboard", *T_KINDS])
+def test_degenerate_or_non_integer_dimension_is_a_value_error(kind, p, n):
+    params = {} if kind == "checkerboard" else _with_t(kind, (2.0, 1.0))
+    if kind == "custom":
+        params.update(U=np.eye(int(p), 2), V=np.eye(n, 2))
+    with pytest.raises(ValueError):
+        gen_signal(kind, p, n, **params)
 
 
 class TestGenNoise:
@@ -291,7 +333,20 @@ class TestRunner:
                               "params": {"n_grid": [None]}},
         "f-grid-empty": {"scenario": "submatrix", "params": {"f_grid": []}},
         "range-of-three": {"scenario": "missing-data", "params": {"q_row_range": [0.3, 0.5, 0.7]}},
+        # An integer param takes integers only, so report.json echoes the size that ran.
+        "p-float": {"params": {"p": 60.7}},
+        "p-bool": {"params": {"p": True}},
+        "rank-float": {"scenario": "heteroscedastic", "params": {"rank": 2.9}},
+        "n-grid-float": {"scenario": "weighted-inner-products", "params": {"n_grid": [40.5]}},
+        "row-blocks-float": {"scenario": "localized-checkerboard", "params": {"row_blocks": 4.5}},
     }
+
+    @pytest.mark.parametrize("case", ["p-float", "rank-float", "n-grid-float",
+                                      "row-blocks-float"])
+    def test_integer_param_error_names_the_key(self, case):
+        (key,) = self.BAD_CONFIGS[case]["params"]
+        with pytest.raises(ValueError, match=repr(key)):
+            resolve_config(dict({"scenario": "rank-estimation"}, **self.BAD_CONFIGS[case]))
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
     def test_malformed_config_value_is_a_domain_error(self, case, tmp_path):
