@@ -36,4 +36,4 @@ def abt(a, b) -> np.ndarray:
 def norm(m) -> float:
     """Frobenius norm ``sqrt(sum(m**2))`` by BLAS ``ddot``, with no temporary ``m**2``."""
     x = np.ravel(np.asarray(m, dtype=float), order="K")
-    return float(np.sqrt(ddot(x, x)))
+    return float(np.sqrt(ddot(x, x))) if x.size else 0.0

@@ -67,7 +67,8 @@ def shrink_submatrix_baseline(Y, row_idx, col_idx, rank: int | None = None,
     rows = WeightOperator.from_indices(row_idx, p).data
     cols = WeightOperator.from_indices(col_idx, n).data
     scale = np.sqrt(n / cols.size)
-    sub = Y[np.ix_(rows, cols)] * scale
+    sub = Y[np.ix_(rows, cols)]
+    sub *= scale
     res = svs_shrink(sub, rank=rank, margin=margin)
     return PipelineResult(res.left / scale, res.right, res,
                           res.amse_estimate / (n / cols.size))
@@ -142,7 +143,7 @@ class NoiseCovariances:
                 f"Y has shape {Y.shape}, covariances expect ({self.p}, {self.n})")
         row, col = self._power(self._row, -0.5), self._power(self._col, -0.5)
         M = row[:, None] * Y if row.ndim == 1 else abt(row, Y.T)
-        return M * col if col.ndim == 1 else abt(M, col.T)
+        return abt(M, col.T) if col.ndim == 2 else np.multiply(M, col, out=M)
 
     def sqrt_weights(self):
         """Weight operators ``S**0.5`` and ``T**0.5`` for the whitened loss."""

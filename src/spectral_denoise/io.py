@@ -229,7 +229,7 @@ def build_report(command: str, config: dict, result, extra: dict | None = None) 
         }
     if extra:
         report.update(extra)
-    return report
+    return json.loads(json.dumps(report), parse_constant=lambda _: None)  # inf, nan: null
 
 
 def validate_report(report: dict) -> None:
@@ -244,5 +244,5 @@ def validate_report(report: dict) -> None:
 def write_report_json(path, report: dict) -> None:
     validate_report(report)
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -21,6 +21,8 @@ import warnings
 
 import numpy as np
 
+from ..spiked import _check_int
+
 __all__ = ["gen_noise", "splitmix64", "derive_seed", "make_rng"]
 
 _MASK64 = (1 << 64) - 1
@@ -51,8 +53,7 @@ def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -
     scaling; ``df <= 2`` has no finite variance, is deliberately allowed for
     breakdown studies, and triggers a warning instead of normalization.
     """
-    p, n = int(p), int(n)
-    if p <= 0 or n <= 0:
+    if _check_int(p, "noise p") <= 0 or _check_int(n, "noise n") <= 0:
         raise ValueError("noise dimensions must be positive")
     rng = make_rng(seed)
     scale = 1.0 / np.sqrt(n) if scale is None else scale

@@ -52,32 +52,31 @@ def _localized_checkerboard_replicate(params: dict, seed: int) -> list[dict]:
     p = int(round(params["gamma"] * n))
     f = float(params["f"])
     sig = gen_signal("checkerboard", p, n, f=f, cells=params["cells"])
-    sd_scale = float(params["noise_sd_scale"])
-    sigma = sd_scale / np.sqrt(n)
+    sigma = float(params["noise_sd_scale"]) / np.sqrt(n)
 
     rows = offset_partition(p, params["row_blocks"], params["row_offset"])
     cols = offset_partition(n, params["col_blocks"], params["col_offset"])
 
-    noise = gen_noise(params["dist"], p, n, seed, sigma)
-    Y = sig.X + noise
+    Y = gen_noise(params["dist"], p, n, seed, sigma)
+    Y += sig.X
     model = 1.0 / (sigma * np.sqrt(n))  # rescale so noise variance is 1/n
-    Ym = Y * model
+    Y *= model
 
-    fit = spectral_fit(Ym)
+    fit = spectral_fit(Y)
     shr = fit.denoise()
     loc = fit.localized(rows, cols)
-    X_shr = shr.estimate / model
-    X_loc = loc.estimate / model
-    sig_energy = float(np.sum(sig.X**2))
+    X = (sig.U * sig.t, sig.V)
+    X_shr = (shr.left / model, shr.right)
+    X_loc = (loc.left / model, loc.right)
     return [{
         "f": f,
-        "rel_err_shrink": relative_error(X_shr, sig.X),
-        "rel_err_localized": relative_error(X_loc, sig.X),
-        "loss_shrink": weighted_loss(X_shr, sig.X),
-        "loss_localized": weighted_loss(X_loc, sig.X),
+        "rel_err_shrink": relative_error(X_shr, X),
+        "rel_err_localized": relative_error(X_loc, X),
+        "loss_shrink": weighted_loss(X_shr, X),
+        "loss_localized": weighted_loss(X_loc, X),
         "amse_shrink": shr.amse_estimate / model**2,
         "amse_localized": loc.amse_estimate / model**2,
-        "signal_energy": sig_energy,
+        "signal_energy": float(np.sum(sig.t**2)),
         "rank_detected": shr.rank,
     }]
 
@@ -96,19 +95,19 @@ def _submatrix_replicate(params: dict, seed: int) -> list[dict]:
     for k, f in enumerate(params["f_grid"]):
         sig = gen_signal("piecewise_constant", p, n, t=(t,),
                          energy_fraction=np.sqrt(f))
-        X0 = sig.X[np.ix_(rows_idx, cols_idx)]
-        noise = gen_noise(params["dist"], p, n, derive_seed(seed, k))
-        Y = sig.X + noise
+        X0 = (sig.U[rows_idx] * sig.t, sig.V[cols_idx])
+        Y = gen_noise(params["dist"], p, n, derive_seed(seed, k))
+        Y += sig.X
 
         fit = spectral_fit(Y)
         weighted = fit.submatrix(rows_idx, cols_idx)
         baseline = shrink_submatrix_baseline(Y, rows_idx, cols_idx)
         shr = fit.denoise()
-        whole = abt(shr.left[rows_idx], shr.right[cols_idx])
+        whole = (shr.left[rows_idx], shr.right[cols_idx])
         out.append({
             "f": float(f),
-            "rel_err_weighted": relative_error(weighted.estimate, X0),
-            "rel_err_sub_baseline": relative_error(baseline.estimate, X0),
+            "rel_err_weighted": relative_error((weighted.left, weighted.right), X0),
+            "rel_err_sub_baseline": relative_error((baseline.left, baseline.right), X0),
             "rel_err_global_shrink": relative_error(whole, X0),
             "baseline_rank": baseline.denoise.rank,
         })
@@ -132,22 +131,25 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
         sig = gen_signal("random_orthonormal", p, n, t=t, rng=rng)
         cov = NoiseCovariances(np.linspace(1.0 / kappa, 1.0, p),
                                np.linspace(1.0 / kappa, 1.0, n))
-        G = gen_noise(params["dist"], p, n, derive_seed(seed, 2 * k + 1))
-        Y = sig.X + np.sqrt(cov.row_cov)[:, None] * G * np.sqrt(cov.col_cov)[None, :]
+        Y = gen_noise(params["dist"], p, n, derive_seed(seed, 2 * k + 1))
+        Y *= np.sqrt(cov.row_cov)[:, None]
+        Y *= np.sqrt(cov.col_cov)
+        Y += sig.X
 
         oracle = whiten_denoise(Y, cov)
-        est_cov = estimate_noise_covariances(Y)
-        estimated = whiten_denoise(Y, est_cov)
+        estimated = whiten_denoise(Y, estimate_noise_covariances(Y))
         # Homoscedastic baseline: shrinkage after matching the average
         # noise variance, the best a white-noise model can do here.
         ts, _, tt, _ = cov.trace_stats()
         s = np.sqrt(ts * tt)
-        plain = svs_shrink(Y / s).estimate * s
+        Y /= s  # Y's last use
+        plain = svs_shrink(Y)
+        X = (sig.U * sig.t, sig.V)
         out.append({
             "kappa": float(kappa),
-            "rel_err_whiten_oracle": relative_error(oracle.estimate, sig.X),
-            "rel_err_whiten_estimated": relative_error(estimated.estimate, sig.X),
-            "rel_err_shrink": relative_error(plain, sig.X),
+            "rel_err_whiten_oracle": relative_error((oracle.left, oracle.right), X),
+            "rel_err_whiten_estimated": relative_error((estimated.left, estimated.right), X),
+            "rel_err_shrink": relative_error((plain.left * s, plain.right), X),
         })
     return out
 
@@ -166,15 +168,16 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
     for k, sigma in enumerate(params["sigma_grid"]):
         rng = make_rng(derive_seed(seed, 3 * k))
         sig = gen_signal("random_orthonormal", p, n, t=t, rng=rng)
-        noise = gen_noise(params["dist"], p, n, derive_seed(seed, 3 * k + 1), sigma)
+        Y = gen_noise(params["dist"], p, n, derive_seed(seed, 3 * k + 1), sigma)
+        Y += sig.X
+        Y /= sigma  # unit-variance convention: divide by sigma, scale back
         mask_rng = make_rng(derive_seed(seed, 3 * k + 2))
         mask = (mask_rng.random((p, n)) < np.outer(q_row, q_col))
-        # Unit-variance convention: divide observations by sigma, scale back.
-        pattern = SamplingPattern.from_dense((sig.X + noise) / sigma, mask, q_row, q_col)
+        pattern = SamplingPattern.from_dense(Y, mask, q_row, q_col)
         res = missing_data_denoise(pattern, margin=float(params["margin"]))
         out.append({
             "sigma": float(sigma),
-            "rel_err": relative_error(sigma * res.estimate, sig.X),
+            "rel_err": relative_error((sigma * res.left, res.right), (sig.U * sig.t, sig.V)),
             "rank_detected": res.denoise.rank,
         })
     return out
@@ -186,11 +189,8 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
 
 def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
     """Rank-2 constant/sign-flip design; larger value on the flip pair."""
-    u_const, u_flip = two_block_vectors(p)
-    v_const, v_flip = two_block_vectors(n)
     t = np.array([gamma**0.25 + offsets[0], gamma**0.25 + offsets[1]])
-    U = np.column_stack([u_flip, u_const])
-    V = np.column_stack([v_flip, v_const])
+    U, V = (np.column_stack(two_block_vectors(m)[::-1]) for m in (p, n))  # flip, const
     return gen_signal("custom", p, n, t=t, U=U, V=V)
 
 
@@ -215,9 +215,9 @@ def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
         np.fill_diagonal(gram_pred, c**2 * np.diag(pop_gram) + s**2 * mu)
         cross_pred = c[:, None] * pop_gram
         for dist in params["dists"]:
-            noise = gen_noise(dist, p, n, derive_seed(seed, k))
+            Y = gen_noise(dist, p, n, derive_seed(seed, k))
             k += 1
-            Y = sig.X + noise
+            Y += sig.X
             U_emp, _, _, _ = top_svd(Y, 2)
             W = U_emp[:keep]
             gram_emp = abt(W.T, W.T)
@@ -244,16 +244,17 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
     pi = WeightOperator.from_diagonal(np.linspace(1.0 / p, 1.0 / gamma, n))
     out = []
     for k, dist in enumerate(params["dists"]):
-        noise = gen_noise(dist, p, n, derive_seed(seed, k))
-        Y = sig.X + noise
+        Y = gen_noise(dist, p, n, derive_seed(seed, k))
+        Y += sig.X
         res_oracle = spectral_denoise(Y, omega, pi, rank=oracle_rank)
         res_naive = spectral_fit(Y).denoise(omega, pi)
-        wrel = lambda est: relative_error(est, sig.X, omega=omega, pi=pi)
+        wrel = lambda res: relative_error((res.left, res.right), (sig.U * sig.t, sig.V),
+                                          omega=omega, pi=pi)
         out.append({
             "dist": str(dist),
             "naive_rank": res_naive.rank,
-            "rel_err_oracle": wrel(res_oracle.estimate),
-            "rel_err_naive": wrel(res_naive.estimate),
+            "rel_err_oracle": wrel(res_oracle),
+            "rel_err_naive": wrel(res_naive),
         })
     return out
 

@@ -2,9 +2,9 @@
 
 ``gen_signal(kind, p, n, **params)`` draws any of the five kinds, each
 with its own keywords.  A kind's maker returns the SVD factors
-``(U, t, V)``; ``gen_signal`` checks them once and forms ``X``, so
+``(U, t, V)``; ``gen_signal`` checks them once and keeps them, so
 experiments can measure exact losses against the recovered spiked-model
-parameters.
+parameters without forming the ``p x n`` matrix ``X``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,15 @@ __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
 @dataclass(frozen=True)
 class Signal:
-    """A signal matrix and its exact SVD factors ``X = U diag(t) V.T``."""
+    """A signal's exact SVD factors; the matrix ``X = U diag(t) V.T`` is formed on access."""
 
-    X: np.ndarray
     U: np.ndarray
     t: np.ndarray
     V: np.ndarray
+
+    @property
+    def X(self) -> np.ndarray:
+        return abt(self.U * self.t, self.V)
 
 
 def two_block_vectors(m: int):
@@ -151,4 +154,4 @@ def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
             raise ValueError(f"{kind} signal {name} must be {m} x {r}, got shape {M.shape}")
         if not np.max(np.abs(abt(M.T, M.T) - np.eye(r))) <= 1e-8:
             raise ValueError(f"{kind} signal {name} columns must be orthonormal")
-    return Signal(abt(U * t, V), U, t, V)
+    return Signal(U, t, V)

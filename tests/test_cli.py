@@ -274,6 +274,21 @@ class TestDenoiseCommands:
         assert "row weight" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_report_is_strict_json_when_a_geometry_value_overflows(self, tmp_path):
+        # At rank 0 nothing checks the weight, and mu = tr(W^T W)/p overflows to inf.
+        path, diag, report = tmp_path / "noise.csv", tmp_path / "w.csv", tmp_path / "r.json"
+        io.write_dense_csv(path, np.random.default_rng(3).standard_normal((60, 80)) / 80.0)
+        io.write_dense_csv(diag, np.full((1, 60), 1e160))
+        assert cli.main(["denoise", "--input", str(path), "--row-weight-diag", str(diag),
+                         "--rank", "0", "--output", str(tmp_path / "x.csv"),
+                         "--report", str(report)]) == 0
+
+        def no_constant(token):
+            raise AssertionError(f"report.json holds the non-JSON token {token}")
+
+        loaded = json.loads(report.read_text(), parse_constant=no_constant)
+        assert loaded["rank"] == 0 and loaded["geometry"]["mu"] is None
+
     def test_dimension_mismatch_exits_3(self, tmp_path, spiked_csv):
         path, Y, sig = spiked_csv
         diag = tmp_path / "w.csv"

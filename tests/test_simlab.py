@@ -2,7 +2,10 @@ import csv
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_denoise import cli, denoise
-from spectral_denoise.errors import UndefinedMetricError
+from spectral_denoise._blas import abt
+from spectral_denoise.errors import DimensionMismatchError, UndefinedMetricError
+from spectral_denoise.geometry import WeightOperator
 from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (derive_seed, gen_noise, gen_signal, make_rng,
                                      relative_error, resolve_config,
-                                     run_experiment, splitmix64, two_block_vectors)
+                                     run_experiment, splitmix64, two_block_vectors,
+                                     weighted_loss)
 from spectral_denoise.simlab import scenarios
 from spectral_denoise.simlab.scenarios import SCENARIOS, offset_partition
 
@@ -111,19 +117,25 @@ class TestOtherSignals:
         with pytest.raises(TypeError):
             gen_signal("block_image", 10, 10, t=(1.0,), f=0.7)
 
-    @pytest.mark.parametrize("kind, params, message", [
-        ("nope", {}, "unknown signal kind"),
-        ("random_orthonormal", {"t": (1.0,)}, "needs an rng"),
-        ("custom", {"t": (), "U": np.ones((10, 1)), "V": np.ones((10, 1))}, "need U, t and V"),
-        ("piecewise_constant", {"t": (3.0, 2.0, 1.0)}, "rank 1 or 2"),
-        ("piecewise_constant", {"t": (1.0,), "energy_fraction": 1.0}, "energy_fraction"),
-        ("block_image", {"t": (1.0,) * 11}, "dimensions too small"),
-        ("custom", {"t": (2.0, 1.0), "U": np.eye(10, 2), "V": np.eye(9, 2)}, "V must be 10 x 2"),
+    @pytest.mark.parametrize("draw, message", [
+        (partial(gen_signal, "nope", 10, 10), "unknown signal kind"),
+        (partial(gen_signal, "random_orthonormal", 10, 10, t=(1.0,)), "needs an rng"),
+        (partial(gen_signal, "custom", 10, 10, t=(), U=np.ones((10, 1)), V=np.ones((10, 1))),
+         "need U, t and V"),
+        (partial(gen_signal, "piecewise_constant", 10, 10, t=(3.0, 2.0, 1.0)), "rank 1 or 2"),
+        (partial(gen_signal, "piecewise_constant", 10, 10, t=(1.0,), energy_fraction=1.0),
+         "energy_fraction"),
+        (partial(gen_signal, "block_image", 10, 10, t=(1.0,) * 11), "dimensions too small"),
+        (partial(gen_signal, "custom", 10, 10, t=(2.0, 1.0), U=np.eye(10, 2), V=np.eye(9, 2)),
+         "V must be 10 x 2"),
+        (partial(gen_noise, "gaussian", 5.7, 3.2), "noise p must be an integer, got 5.7"),
+        (partial(gen_noise, "gaussian", True, 3), "noise p must be an integer, got True"),
     ], ids=["unknown-kind", "no-rng", "custom-without-t", "piecewise-rank-3",
-            "piecewise-fraction", "block-image-rank", "custom-shape"])
-    def test_signal_domain_errors_name_the_problem(self, kind, params, message):
+            "piecewise-fraction", "block-image-rank", "custom-shape", "noise-float-dims",
+            "noise-bool-dim"])
+    def test_signal_domain_errors_name_the_problem(self, draw, message):
         with pytest.raises(ValueError, match=message):
-            gen_signal(kind, 10, 10, **params)
+            draw()
 
     def test_tied_values_are_an_svd(self):
         for kind, extra in (("random_orthonormal", {"rng": make_rng(2)}), ("block_image", {})):
@@ -160,6 +172,17 @@ def test_degenerate_or_non_integer_dimension_is_a_value_error(kind, p, n):
         params.update(U=np.eye(int(p), 2), V=np.eye(n, 2))
     with pytest.raises(ValueError):
         gen_signal(kind, p, n, **params)
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", *T_KINDS])
+def test_signal_matrix_is_formed_from_its_factors_on_every_access(kind):
+    params = {"cells": 2} if kind == "checkerboard" else _with_t(kind, (2.0, 1.0))
+    sig = gen_signal(kind, 10, 10, **params)
+    assert [f.name for f in fields(sig)] == ["U", "t", "V"]  # no dense matrix is kept
+    first, second = sig.X, sig.X
+    assert first is not second
+    for X in (first, second):
+        assert X.tobytes() == abt(sig.U * sig.t, sig.V).tobytes()
 
 
 class TestGenNoise:
@@ -247,6 +270,78 @@ class TestRelativeError:
         X_hat[2:, :] = 0.0  # error only in rows the weight ignores
         err = relative_error(X_hat, X, omega=np.array([1.0, 1.0, 0.0, 0.0]))
         assert err == 0.0
+
+
+_P, _N = 30, 45
+_W = np.random.default_rng(8)
+FACTOR_WEIGHTS = {
+    "none": (None, None),
+    "diagonal": (np.linspace(0.1, 2.0, _P), np.linspace(3.0, 0.5, _N)),
+    "dense": (_W.standard_normal((20, _P)), _W.standard_normal((_N, _N))),
+    "indices": (WeightOperator.from_indices(range(0, _P, 2), _P),
+                WeightOperator.from_indices(range(40), _N)),
+}
+
+
+def _factored_case(case):
+    """``(estimate, signal)`` factor pairs at ``30 x 45``, signal rank 3."""
+    rng = np.random.default_rng(9)
+    X = (rng.standard_normal((_P, 3)) * [3.0, 2.0, 1.0], rng.standard_normal((_N, 3)))
+    estimates = {
+        "rank-2": (rng.standard_normal((_P, 2)), rng.standard_normal((_N, 2))),
+        "rank-0": (np.zeros((_P, 0)), np.zeros((_N, 0))),
+        "equal": (X[0].copy(), X[1].copy()),
+        "error-1e-8": (X[0] + 1e-8 * rng.standard_normal((_P, 3)), X[1]),
+    }
+    return estimates[case], X
+
+
+class TestFactoredMetrics:
+    """Two factor pairs against the dense path, which is the reference."""
+
+    @pytest.mark.parametrize("case", ["rank-2", "rank-0", "equal", "error-1e-8"])
+    @pytest.mark.parametrize("weights", sorted(FACTOR_WEIGHTS))
+    def test_pairs_agree_with_dense(self, case, weights):
+        omega, pi = FACTOR_WEIGHTS[weights]
+        est, X = _factored_case(case)
+        dense_est, dense_X = abt(*est), abt(*X)
+        ref = relative_error(dense_est, dense_X, omega, pi)
+        assert abs(relative_error(est, X, omega, pi) - ref) <= 1e-13
+        energy = weighted_loss(np.zeros_like(dense_X), dense_X, omega, pi)
+        loss = weighted_loss(dense_est, dense_X, omega, pi)
+        assert abs(weighted_loss(est, X, omega, pi) - loss) <= 1e-13 * energy
+        if case == "error-1e-8":
+            assert 1e-9 < ref < 1e-7
+        # A pair against a dense matrix is formed densely: the dense path exactly.
+        assert relative_error(est, dense_X, omega, pi) == ref
+        assert weighted_loss(dense_est, X, omega, pi) == loss
+
+    def test_rank_zero_reference_rejected(self):
+        est, _ = _factored_case("rank-2")
+        with pytest.raises(UndefinedMetricError):
+            relative_error(est, (np.zeros((_P, 0)), np.zeros((_N, 0))))
+
+    @pytest.mark.parametrize("est, X", [
+        ((np.ones((_P, 2)), np.ones((_N, 3))), (np.ones((_P, 1)), np.ones((_N, 1)))),
+        ((np.ones((_P, 2)), np.ones((_N, 2))), (np.ones((_P + 1, 1)), np.ones((_N, 1)))),
+        ((np.ones(_P), np.ones(_N)), (np.ones((_P, 1)), np.ones((_N, 1)))),
+        ((np.ones((_P, 1)), np.ones((_N, 1))), np.ones((_P, _N + 1))),
+    ], ids=["inner-mismatch", "row-mismatch", "one-dimensional", "pair-vs-dense"])
+    def test_mismatched_shapes_rejected(self, est, X):
+        for metric in (relative_error, weighted_loss):
+            with pytest.raises(DimensionMismatchError):
+                metric(est, X)
+
+
+def test_default_heteroscedastic_replicate_holds_at_most_four_matrices():
+    params = dict(SCENARIOS["heteroscedastic"].defaults)
+    tracemalloc.start()
+    try:
+        SCENARIOS["heteroscedastic"].replicate(params, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * params["p"] * params["n"] * 8
 
 
 class TestOffsetPartition:
