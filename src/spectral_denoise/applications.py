@@ -18,7 +18,7 @@ from scipy.linalg import eigh
 from ._blas import abt
 from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
-from .geometry import WeightOperator, _index_array, as_weight_operator
+from .geometry import WeightOperator, _index_set, as_weight_operator
 
 __all__ = [
     "PipelineResult",
@@ -186,17 +186,16 @@ def estimate_noise_covariances(Y) -> NoiseCovariances:
     ``tr(T_hat)/n = 1`` hold exactly.
     """
     Y = _as_matrix(Y)
-    sq = Y**2
-    a = sq.sum(axis=1)
-    col_ss = sq.sum(axis=0)
-    if np.any(a == 0):
-        raise DegenerateEstimateError(
-            f"row {int(np.argmax(a == 0))} of Y is identically zero")
-    if np.any(col_ss == 0):
-        raise DegenerateEstimateError(
-            f"column {int(np.argmax(col_ss == 0))} of Y is identically zero")
-    n = Y.shape[1]
-    b = col_ss / (a.sum() / n)
+    for axis, side in ((1, "row"), (0, "column")):
+        zero = ~np.any(Y, axis=axis)  # a nonzero row whose squares underflow gets the floor
+        if np.any(zero):
+            raise DegenerateEstimateError(f"{side} {int(np.argmax(zero))} of Y is identically zero")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq = Y**2
+        a = sq.sum(axis=1)
+        b = sq.sum(axis=0) / (a.sum() / Y.shape[1])
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise DegenerateEstimateError("the squares of Y overflow, or all underflow to zero")
     return NoiseCovariances(np.maximum(a, VARIANCE_FLOOR),
                             np.maximum(b, VARIANCE_FLOOR))
 
@@ -226,20 +225,17 @@ class SamplingPattern:
     def __init__(self, q_row, q_col, rows, cols, values):
         self.q_row = np.asarray(q_row, dtype=float)
         self.q_col = np.asarray(q_col, dtype=float)
-        self.rows = _index_array(rows, "rows")
-        self.cols = _index_array(cols, "cols")
-        self.values = np.asarray(values, dtype=float)
         if self.q_row.ndim != 1 or self.q_col.ndim != 1:
             raise ValueError("q_row and q_col must be 1-D probability vectors")
         for name, q in (("q_row", self.q_row), ("q_col", self.q_col)):
             if not np.all((q > 0) & (q <= 1)):  # NaN fails both comparisons
                 raise ValueError(f"{name}: sampling probabilities must lie in (0, 1]")
-        if not (self.rows.shape == self.cols.shape == self.values.shape) or self.rows.ndim != 1:
-            raise ValueError("rows, cols, values must be 1-D and the same length")
         p, n = self.shape
-        if self.rows.size and (self.rows.min() < 0 or self.rows.max() >= p
-                               or self.cols.min() < 0 or self.cols.max() >= n):
-            raise ValueError("coordinate indices out of range")
+        self.rows = _index_set(rows, p, "rows")
+        self.cols = _index_set(cols, n, "cols")
+        self.values = np.asarray(values, dtype=float)
+        if not self.rows.shape == self.cols.shape == self.values.shape:
+            raise ValueError("rows, cols, values must be 1-D and the same length")
         if np.any(np.diff(np.sort(self.rows * n + self.cols)) == 0):
             raise ValueError("duplicate coordinates in sampling pattern")
         if not np.all(np.isfinite(self.values)):

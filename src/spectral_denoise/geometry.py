@@ -21,7 +21,7 @@ import numpy as np
 
 from ._blas import abt
 from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
-from .spiked import SpikeParams
+from .spiked import SpikeParams, _check_int
 
 __all__ = [
     "WeightOperator",
@@ -42,52 +42,62 @@ ALPHA_FLOOR = 1e-8
 MIN_COSINE = 1e-6
 
 
-def _index_array(values, name: str) -> np.ndarray:
-    """``values`` as an ``intp`` array; floats or booleans raise ``ValueError``."""
+def _index_set(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as a 1-D ``intp`` array in ``[0, dim)``; anything else raises ``ValueError``."""
+    dim = _check_int(dim, "dim")
     arr = np.asarray(values)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D index set, got {arr.ndim}-D")
+    if arr.size and (arr.min() < 0 or arr.max() >= dim):
+        raise ValueError(f"{name} out of range: entries must lie in [0, {dim})")
     return arr.astype(np.intp, copy=False)
 
 
 class WeightOperator:
-    """A linear weight map acting on vectors of length ``dim``."""
+    """A linear weight map acting on vectors of length ``dim``.
+
+    ``indices``: a nonempty index set, stored unique; ``diag``/``dense``: a finite
+    1-D/2-D array of width ``dim`` (else :class:`DimensionMismatchError`); ``identity``: no data.
+    """
 
     def __init__(self, kind: str, data, dim: int):
-        if kind not in ("dense", "diag", "indices", "identity"):
+        dim = _check_int(dim, "dim")
+        if dim < 0:
+            raise ValueError(f"weight dim must be nonnegative, got {dim}")
+        if kind == "indices":
+            data = np.unique(_index_set(data, dim, "indices"))
+            if data.size == 0:
+                raise ValueError("index weight must be a nonempty index set")
+        elif kind in ("diag", "dense"):
+            data, ndim = np.asarray(data, dtype=float), 1 if kind == "diag" else 2
+            if data.ndim != ndim:
+                raise ValueError(f"{kind} weight must be {ndim}-D, got {data.ndim}-D")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"{kind} weight must have finite entries")
+            if data.shape[-1] != dim:
+                raise DimensionMismatchError(f"weight has {data.shape[-1]} columns, expected {dim}")
+        elif kind != "identity":
             raise ValueError(f"unknown weight kind {kind!r}")
+        elif data is not None:
+            raise ValueError("identity weight takes no data")
         self.kind = kind
         self.data = data
-        self.dim = int(dim)
+        self.dim = dim
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_matrix(cls, matrix) -> "WeightOperator":
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("dense weight must be a 2-D matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("weight matrix must have finite entries")
-        return cls("dense", m, m.shape[1])
+        return cls("dense", matrix, np.size(matrix, -1) if np.ndim(matrix) else 0)
 
     @classmethod
     def from_diagonal(cls, diag) -> "WeightOperator":
-        d = np.asarray(diag, dtype=float)
-        if d.ndim != 1:
-            raise ValueError("diagonal weight must be a 1-D vector")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("diagonal weight must have finite entries")
-        return cls("diag", d, d.size)
+        return cls("diag", diag, np.size(diag))
 
     @classmethod
     def from_indices(cls, indices, dim: int) -> "WeightOperator":
-        idx = _index_array(indices, "indices")
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("index weight must be a nonempty 1-D index set")
-        if np.any(idx < 0) or np.any(idx >= dim):
-            raise ValueError(f"indices must lie in [0, {dim})")
-        idx = np.unique(idx)
-        return cls("indices", idx, dim)
+        return cls("indices", indices, dim)
 
     @classmethod
     def identity(cls, dim: int) -> "WeightOperator":
@@ -138,21 +148,15 @@ def as_weight_operator(weight, dim: int) -> WeightOperator:
                 f"weight operator has {weight.dim} columns, expected {dim}")
         return weight
     arr = np.asarray(weight, dtype=float)
-    if arr.ndim == 1:
-        op = WeightOperator.from_diagonal(arr)
-    elif arr.ndim == 2:
-        op = WeightOperator.from_matrix(arr)
-    else:
-        raise ValueError("weight must be None, a 1-D diagonal, a 2-D matrix, "
-                         "or a WeightOperator")
-    if op.dim != dim:
-        raise DimensionMismatchError(f"weight has {op.dim} columns, expected {dim}")
-    return op
+    return WeightOperator("diag" if arr.ndim == 1 else "dense", arr, dim)
 
 
 def trace_weight(omega: WeightOperator, dim: int) -> float:
     """Normalized weight trace ``tr(W^T W) / dim``."""
-    if omega.dim != int(dim):
+    dim = _check_int(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"trace dim must be positive, got {dim}")
+    if omega.dim != dim:
         raise DimensionMismatchError(
             f"weight operator has {omega.dim} columns, expected {dim}")
     return omega.trace_gram() / float(dim)

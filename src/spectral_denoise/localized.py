@@ -23,7 +23,7 @@ import numpy as np
 
 from . import io
 from .denoise import LocalizedResult, spectral_fit
-from .geometry import _index_array
+from .geometry import _index_set
 from .spiked import _check_int
 
 __all__ = [
@@ -42,25 +42,21 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise ValueError("partition dim must be positive")
-        seen = np.zeros(self.dim, dtype=bool)
-        cleaned = []
-        for b in self.blocks:
-            idx = _index_array(b, "partition block")
-            if idx.ndim != 1 or idx.size == 0:
-                raise ValueError("every partition block must be a nonempty index set")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("partition blocks must be sorted and duplicate-free")
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError(f"block indices must lie in [0, {self.dim})")
-            if np.any(seen[idx]):
-                raise ValueError("partition blocks must be disjoint")
-            seen[idx] = True
-            cleaned.append(idx)
-        if not np.all(seen):
+        dim = _check_int(self.dim, "dim")
+        if dim < 1:
+            raise ValueError(f"partition dim must be positive, got {dim}")
+        if not isinstance(self.blocks, (tuple, list)):
+            raise ValueError(f"partition blocks must be a sequence, got {self.blocks!r}")
+        blocks = tuple(_index_set(b, dim, "partition block") for b in self.blocks)
+        if any(b.size == 0 or np.any(b[1:] <= b[:-1]) for b in blocks):
+            raise ValueError("every partition block must be nonempty and strictly increasing")
+        counts = np.bincount(np.concatenate((np.empty(0, np.intp),) + blocks), minlength=dim)
+        if np.any(counts > 1):
+            raise ValueError("partition blocks must be disjoint")
+        if not np.all(counts):
             raise ValueError("partition blocks must cover every index")
-        object.__setattr__(self, "blocks", tuple(cleaned))
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "blocks", blocks)
 
     def __len__(self):
         return len(self.blocks)
@@ -70,7 +66,7 @@ class Partition:
 
     @classmethod
     def from_lists(cls, dim: int, lists) -> "Partition":
-        return cls(dim, tuple(sorted(b) for b in lists))
+        return cls(dim, tuple(np.sort(_index_set(b, dim, "partition block")) for b in lists))
 
     @classmethod
     def from_json(cls, path, dim: int) -> "Partition":

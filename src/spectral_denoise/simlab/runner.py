@@ -77,10 +77,11 @@ def resolve_config(config) -> dict:
     if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of "
                          f"{sorted(SCENARIOS)}")
-    for key in ("seed", "replicates"):
-        value = config.get(key, 0)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"config {key!r} must be an integer, got {value!r}")
+    seed, replicates = config.get("seed", 0), config.get("replicates", 20)
+    if not _is_int(seed):
+        raise ValueError(f"config 'seed' must be an integer, got {seed!r}")
+    if not (_is_int(replicates) and replicates >= 1):
+        raise ValueError(f"config 'replicates' must be an integer >= 1, got {replicates!r}")
     scale = config.get("scale", 1.0)
     if not (_is_number(scale) and 0 < scale <= 1):
         raise ValueError(f"config 'scale' must be a number in (0, 1], got {scale!r}")
@@ -98,12 +99,11 @@ def resolve_config(config) -> dict:
     params.update(given)
     if scale != 1.0:
         params = scenario.apply_scale(params, scale)
-    replicates = max(1, int(round(int(config.get("replicates", 20)) * scale)))
     return {
         "schema": CONFIG_SCHEMA_VERSION,
         "scenario": name,
-        "seed": int(config.get("seed", 0)),
-        "replicates": replicates,
+        "seed": int(seed),
+        "replicates": max(1, int(round(replicates * scale))),  # a valid count may round to 0
         "scale": float(scale),
         "params": params,
     }
@@ -206,6 +206,8 @@ def run_experiment(config, output_dir=None, jobs: int = 1) -> ExperimentReport:
     Writes ``report.json`` and ``replicates.csv`` when ``output_dir`` is
     given.
     """
+    if not (_is_int(jobs) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     resolved = resolve_config(config)
     scenario = SCENARIOS[resolved["scenario"]]
     seeds = tuple(derive_seed(resolved["seed"], i)

@@ -13,6 +13,7 @@ denoiser in the package starts from.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -32,15 +33,22 @@ __all__ = [
 ]
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a ``float``; booleans and anything but a real scalar raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
+    gamma = _check_real(gamma, "gamma")
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError(f"aspect ratio gamma must be positive and finite, got {gamma}")
     return gamma
 
 
 def _check_margin(margin: float) -> float:
-    margin = float(margin)
+    margin = _check_real(margin, "margin")
     if not (np.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin}")
     return margin

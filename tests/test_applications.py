@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from spectral_denoise import (DegenerateEstimateError, DimensionMismatchError, N
                               shrink_submatrix_baseline, snr_gain_tau,
                               spectral_denoise, submatrix_denoise, svs_shrink,
                               whiten_denoise)
+from spectral_denoise.applications import VARIANCE_FLOOR
 from spectral_denoise.simlab import (gen_signal, two_block_vectors,
                                      weighted_loss)
 
@@ -170,6 +173,20 @@ class TestNoiseCovarianceEstimation:
         Y[2] = 0.0
         with pytest.raises(DegenerateEstimateError):
             estimate_noise_covariances(Y)
+
+    def test_overflowing_squares_are_a_degenerate_estimate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateEstimateError, match="squares of Y overflow"):
+                estimate_noise_covariances(np.full((4, 6), 1e200))
+
+    def test_row_whose_squares_underflow_gets_the_floor(self):
+        Y = np.ones((4, 6))
+        Y[2] = 1e-170
+        cov = estimate_noise_covariances(Y)
+        assert cov.row_cov[2] == VARIANCE_FLOOR and np.all(cov.row_cov[[0, 1, 3]] == 6.0)
+        with pytest.raises(DegenerateEstimateError, match="underflow to zero"):
+            estimate_noise_covariances(np.full((4, 6), 1e-170))
 
     @pytest.mark.slow
     def test_error_halves_when_n_quadruples(self):

@@ -83,18 +83,61 @@ class TestAsWeightOperator:
             as_weight_operator(np.ones(4), 5)
 
 
-# Index arrays of float or boolean dtype are rejected, not truncated to integers.
-@pytest.mark.parametrize("build, name", [
-    (lambda: WeightOperator.from_indices([0.7, 2.9], 4), "indices"),
-    (lambda: WeightOperator.from_indices([True, False, True], 3), "indices"),
-    (lambda: SamplingPattern(np.ones(3), np.ones(3), [0.5, 1.9], [0, 2.2], [1.0, 2.0]), "rows"),
-    (lambda: Partition.from_lists(3, [[0.4, 1.6], [2.0]]), "partition block"),
-    (lambda: submatrix_denoise(np.ones((4, 4)), [0.5, 3.7], [1.2]), "indices"),
+# Index arrays of float or boolean dtype, and sizes that are not integers, are
+# rejected, not truncated to integers.
+_SIZE_BUILDS = {
+    "identity": WeightOperator.identity,
+    "from_indices": lambda dim: WeightOperator.from_indices([0], dim),
+    "as_weight_operator": lambda dim: as_weight_operator(None, dim),
+    "partition": lambda dim: Partition(dim, ([0],)),
+}
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: WeightOperator.from_indices([0.7, 2.9], 4), "indices must hold integers"),
+    (lambda: WeightOperator.from_indices([True, False, True], 3), "indices must hold integers"),
+    (lambda: SamplingPattern(np.ones(3), np.ones(3), [0.5, 1.9], [0, 2.2], [1.0, 2.0]),
+     "rows must hold integers"),
+    (lambda: Partition.from_lists(3, [[0.4, 1.6], [2.0]]), "partition block must hold integers"),
+    (lambda: submatrix_denoise(np.ones((4, 4)), [0.5, 3.7], [1.2]), "indices must hold integers"),
+    (lambda: WeightOperator("indices", [0.5], 6), "indices must hold integers"),
+] + [
+    (lambda build=build, size=size: _SIZE_BUILDS[build](size), "dim must be an integer")
+    for build in _SIZE_BUILDS for size in (2.5, True, "3", None)
 ], ids=["from_indices-float", "from_indices-bool", "sampling-pattern", "partition",
-        "submatrix"])
-def test_non_integer_indices_rejected(build, name):
-    with pytest.raises(ValueError, match=f"{name} must hold integers"):
+        "submatrix", "raw-indices-float"] + [
+    f"{build}-size-{size}" for build in _SIZE_BUILDS for size in ("float", "bool", "str", "None")
+])
+def test_non_integer_indices_rejected(build, match):
+    with pytest.raises(ValueError, match=match) as info:
         build()
+    assert info.type is ValueError
+
+
+# Malformed data given to the checked constructors: each is a ValueError, or a
+# DimensionMismatchError for a width other than ``dim``, never another exception.
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: WeightOperator.identity(-1), ValueError, "nonnegative"),
+    (lambda: as_weight_operator(None, -1), ValueError, "nonnegative"),
+    (lambda: WeightOperator("indices", [9], 6), ValueError, "indices out of range"),
+    (lambda: WeightOperator("dense", np.ones(6), 6), ValueError, "dense weight must be 2-D"),
+    (lambda: WeightOperator("dense", np.ones((2, 3, 6)), 6), ValueError,
+     "dense weight must be 2-D"),
+    (lambda: WeightOperator("dense", None, 6), ValueError, "dense weight must be 2-D"),
+    (lambda: WeightOperator("dense", np.ones((3, 5)), 6), DimensionMismatchError,
+     "5 columns, expected 6"),
+    (lambda: WeightOperator("diag", "x", 6), ValueError, "could not convert"),
+    (lambda: WeightOperator("diag", None, 6), ValueError, "diag weight must be 1-D"),
+    (lambda: Partition(6, None), ValueError, "must be a sequence"),
+    (lambda: Partition(6, 5), ValueError, "must be a sequence"),
+    (lambda: Partition.from_lists(6, [[0, [1]]]), ValueError, "with a sequence"),
+], ids=["identity-negative", "as-weight-negative", "raw-indices-range",
+        "dense-1d", "dense-3d", "dense-none", "dense-width", "diag-str", "diag-none",
+        "partition-none", "partition-int", "partition-ragged"])
+def test_malformed_constructor_input_rejected(build, error, match):
+    with pytest.raises(error, match=match) as info:
+        build()
+    assert info.type is error
 
 
 def test_unknown_weight_kind_rejected():

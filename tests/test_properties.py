@@ -1,4 +1,4 @@
-"""Property sweep over shapes, ranks, sampling patterns and signal kinds.
+"""Property sweep over shapes, ranks, sampling patterns, partitions and signal kinds.
 
 Each case draws ``p, n`` in 6..40 and a seed (and, for the denoisers, a
 forced rank 0-3), and plants three spikes well clear of the bulk edge, so
@@ -95,6 +95,29 @@ def test_duplicate_or_out_of_range_coordinate_raises(p, n, seed):
         r[k], c[k] = bad_rows, bad_cols
         with pytest.raises(ValueError, match="out of range"):
             SamplingPattern.from_coordinates(r, c, values, q_row, q_col)
+
+
+@SWEEP
+@given(dim=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_partition_from_labels_and_one_bad_index(dim, seed):
+    """Blocks of a random labelling are a partition; one bad index names its fault."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, dim - 1, dim)  # fewer labels than indices: a block of two
+    blocks = tuple(np.flatnonzero(labels == k) for k in np.unique(labels))
+    part = Partition(dim, blocks)
+    assert np.array_equal(np.sort(np.concatenate(part.blocks)), np.arange(dim))
+    shuffled = [rng.permutation(b).tolist() for b in blocks]
+    assert Partition.from_lists(dim, shuffled).to_lists() == part.to_lists()
+    i = int(rng.integers(dim))
+    missing = tuple(b for b in (np.setdiff1d(b, [i]) for b in blocks) if b.size)
+    pair = next(j for j, b in enumerate(blocks) if b.size > 1)
+    unsorted = tuple(b[::-1] if j == pair else b for j, b in enumerate(blocks))
+    for bad, match in ((blocks + (np.array([i]),), "disjoint"),
+                       (missing, "cover every index"),
+                       (blocks + (np.array([int(rng.choice([-1, dim]))]),), "out of range"),
+                       (unsorted, "strictly increasing")):
+        with pytest.raises(ValueError, match=match):
+            Partition(dim, bad)
 
 
 @SWEEP

@@ -419,6 +419,9 @@ class TestRunner:
         "dists-number": {"params": {"dists": 5}},
         "dists-null-entry": {"params": {"dists": [None]}},
         "replicates-null": {"replicates": None},
+        # A count below one is rejected, not clamped to one replicate.
+        "replicates-zero": {"replicates": 0},
+        "replicates-negative": {"replicates": -3},
         "seed-null": {"seed": None},
         "scale-null": {"scale": None},
         "scale-inf": {"scale": float("inf")},
@@ -452,6 +455,22 @@ class TestRunner:
         path.write_text(json.dumps(config))
         assert cli.main(["simulate", "--config", str(path),
                          "--output-dir", str(tmp_path / "o")]) == 5
+
+    @pytest.mark.parametrize("jobs", [0, -4, 1.5, True, "2", None])
+    def test_bad_jobs_is_named_before_any_draw(self, jobs, monkeypatch):
+        monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment({"scenario": "rank-estimation", "replicates": 1}, jobs=jobs)
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--replicates"])
+    def test_zero_count_flag_exits_5(self, flag, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
+        assert cli.main(["simulate", "--scenario", "rank-estimation", flag, "0",
+                         "--output-dir", str(tmp_path / "o")]) == 5
+
+    @staticmethod
+    def _no_draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
 
     @pytest.mark.parametrize("config, key", [
         ({"scale": 1.5}, "scale"),

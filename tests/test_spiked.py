@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
                               bulk_edge, cosines, detection_point, estimate_spike_params,
                               forward_singular_value, invert_singular_value,
-                              naive_rank)
+                              naive_rank, spectral_fit)
 
 GAMMAS = [0.1, 0.5, 1.0, 2.0, 4.0]
 
@@ -194,3 +194,20 @@ def test_monte_carlo_consistency():
         coss.append(abs(U[:, 0] @ u))
     assert abs(np.mean(lams) - 2.5) <= 0.05
     assert abs(np.mean(coss) - np.sqrt(0.75)) <= 0.05
+
+
+# A margin or aspect ratio of the wrong kind is a domain error naming it, not a
+# bare TypeError from float().
+@pytest.mark.parametrize("call, name", [
+    (lambda: spectral_fit(np.eye(3, 4), margin=None), "margin"),
+    (lambda: spectral_fit(np.eye(3, 4), margin=[1]), "margin"),
+    (lambda: naive_rank([3.0, 2.5], 1.0, margin="0.1"), "margin"),
+    (lambda: cosines(2.0, None), "gamma"),
+    (lambda: bulk_edge(None), "gamma"),
+    (lambda: detection_point(np.array([1.0])), "gamma"),
+], ids=["fit-margin-none", "fit-margin-list", "margin-str", "cosines-gamma-none",
+        "bulk-edge-none", "gamma-array"])
+def test_wrong_kind_scalar_is_a_domain_error(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be a real number") as info:
+        call()
+    assert info.type is ValueError
