@@ -18,10 +18,9 @@ from .denoise import (DenoiseResult, ShrinkageReport, SpectralFit, amse_estimate
 from .errors import (BelowDetectionThresholdError, DegenerateEstimateError,
                      DimensionMismatchError, IllConditionedRecoveryError,
                      MatrixFileError, SpectralDenoiseError, UndefinedMetricError)
-from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
+from .geometry import (Partition, WeightedGeometry, WeightOperator, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram)
-from .localized import (LocalizedResult, Partition, localized_denoise,
-                        make_equispaced_partition)
+from .localized import LocalizedResult, localized_denoise, make_equispaced_partition
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point,
                      estimate_spike_params, forward_singular_value,
                      invert_singular_value, naive_rank)
@@ -34,13 +33,12 @@ __all__ = [
     "SpikeParams", "bulk_edge", "cosines", "detection_point",
     "estimate_spike_params", "forward_singular_value",
     "invert_singular_value", "naive_rank",
-    "WeightOperator", "WeightedGeometry", "as_weight_operator",
+    "WeightOperator", "WeightedGeometry", "Partition", "as_weight_operator",
     "recover_population_geometry", "trace_weight", "weighted_gram",
     "DenoiseResult", "ShrinkageReport", "SpectralFit", "amse_estimate",
     "check_shrinkage_properties", "diagonal_denoise", "optimal_coefficients",
     "spectral_denoise", "spectral_fit", "svs_shrink",
-    "LocalizedResult", "Partition", "localized_denoise",
-    "make_equispaced_partition",
+    "LocalizedResult", "localized_denoise", "make_equispaced_partition",
     "NoiseCovariances", "PipelineResult", "SamplingPattern", "backproject",
     "estimate_noise_covariances", "estimate_sampling_probabilities",
     "missing_data_denoise",

@@ -44,6 +44,8 @@ from scipy.linalg import eigh, qr, svd
 from scipy.linalg.blas import dgemm, dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf
 
+from .spiked import _check_int
+
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
 #: to the smallest square it must resolve.  Also the relative margin
 #: around ``tau**2`` inside which the Krylov count is not trusted.
@@ -199,10 +201,10 @@ def top_svd(Y: np.ndarray, k: int):
     fallback); in both cases ``spectrum[:k] == s``.
     """
     p, n = Y.shape
-    mn = min(p, n)
-    k = int(min(k, mn))
+    k = _check_int(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    k = min(k, p, n)
     if k == 0:
         return np.zeros((p, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros(0)
     head = _gram_head(Y, None, k)

@@ -38,6 +38,12 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 
 
+def _expect(value, kind, name: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
                       margin: float = 0.0) -> PipelineResult:
     """Estimate a submatrix of the signal using the whole observed matrix.
@@ -136,8 +142,9 @@ class NoiseCovariances:
             return vals ** exponent
         return abt(vecs * vals ** exponent, vecs)
 
-    def whiten(self, Y: np.ndarray) -> np.ndarray:
+    def whiten(self, Y) -> np.ndarray:
         """``S**-0.5 @ Y @ T**-0.5``."""
+        Y = np.asarray(Y, dtype=float)
         if Y.shape != (self.p, self.n):
             raise DimensionMismatchError(
                 f"Y has shape {Y.shape}, covariances expect ({self.p}, {self.n})")
@@ -168,8 +175,7 @@ def whiten_denoise(Y, cov: NoiseCovariances, rank: int | None = None,
     are ``S**0.5 left``, ``T**0.5 right``; the inner weighted error
     estimate is that of the output, as mapping back unweights the loss.
     """
-    Y = np.asarray(Y, dtype=float)
-    whitened = cov.whiten(Y)
+    whitened = _expect(cov, NoiseCovariances, "cov").whiten(Y)
     omega, pi = cov.sqrt_weights()
     res = spectral_denoise(whitened, omega, pi, rank=rank, margin=margin)
     return PipelineResult(omega.apply(res.left), pi.apply(res.right), res,
@@ -262,6 +268,7 @@ class SamplingPattern:
 
 def backproject(pattern: SamplingPattern) -> np.ndarray:
     """Adjoint of the sampling operator: observed values in place, zeros elsewhere."""
+    pattern = _expect(pattern, SamplingPattern, "pattern")
     out = np.zeros(pattern.shape)
     out[pattern.rows, pattern.cols] = pattern.values
     return out
@@ -303,6 +310,7 @@ def missing_data_denoise(pattern: SamplingPattern, rank: int | None = None,
     signal.  The factors are ``sqrt(n) P**-0.5 left``, ``Q**-0.5 right``,
     and the inner error estimate is scaled up by ``n`` to match.
     """
+    pattern = _expect(pattern, SamplingPattern, "pattern")
     inv_r = 1.0 / np.sqrt(pattern.q_row)
     inv_c = 1.0 / np.sqrt(pattern.q_col)
     n = pattern.q_col.size

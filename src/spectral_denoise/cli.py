@@ -26,8 +26,8 @@ from .applications import (NoiseCovariances, SamplingPattern,
 from .denoise import spectral_denoise
 from .errors import (BelowDetectionThresholdError, DimensionMismatchError,
                      SpectralDenoiseError)
-from .geometry import WeightOperator
-from .localized import Partition, localized_denoise, make_equispaced_partition
+from .geometry import Partition, WeightOperator
+from .localized import localized_denoise, make_equispaced_partition
 from .simlab import run_experiment
 
 EXIT_OK = 0

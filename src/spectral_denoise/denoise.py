@@ -21,8 +21,8 @@ import numpy as np
 
 from ._blas import abt
 from ._svd import svd_head_above, top_svd
-from .errors import DegenerateEstimateError, DimensionMismatchError
-from .geometry import (WeightedGeometry, WeightOperator, as_weight_operator,
+from .errors import DegenerateEstimateError
+from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
@@ -293,11 +293,7 @@ class SpectralFit:
     def localized(self, rows, cols) -> LocalizedResult:
         """Localized denoiser on this fit; see ``localized.localized_denoise``."""
         p, n = self.shape
-        if rows.dim != p:
-            raise DimensionMismatchError(f"row partition covers {rows.dim} rows, Y has {p}")
-        if cols.dim != n:
-            raise DimensionMismatchError(
-                f"column partition covers {cols.dim} columns, Y has {n}")
+        rows, cols = as_partition(rows, p, "row"), as_partition(cols, n, "column")
         spikes = self.spikes
         _check_cosines(spikes)
         A, Phi, P, clip_rows = _block_sides(self.U, rows, spikes.c, spikes.s)

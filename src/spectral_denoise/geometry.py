@@ -1,12 +1,12 @@
-"""Weight operators and recovery of the population weighted geometry.
+"""Weight operators, partitions and recovery of the population weighted geometry.
 
 A weight operator is any matrix with a fixed number of columns that is
 applied to row or column vectors of the data matrix when measuring loss.
 Three representations are supported and normalized behind one interface:
 a dense matrix, a diagonal (stored as a vector), and a coordinate
-projection (stored as an index set).  The diagonal and index forms avoid
-ever materializing a dense ``p x p`` matrix, which is what the localized
-and application pipelines use almost exclusively.
+projection (stored as an index set), so the localized and application
+pipelines never form a dense ``p x p`` matrix.  A :class:`Partition` is a
+family of index weights, the tiles of the localized denoiser.
 
 The recovery formulas are stated for the limits of the weighted inner
 products; this code necessarily works with their finite-size values and
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import io
 from ._blas import abt
 from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
 from .spiked import SpikeParams, _check_int
@@ -26,6 +27,7 @@ from .spiked import SpikeParams, _check_int
 __all__ = [
     "WeightOperator",
     "as_weight_operator",
+    "Partition",
     "trace_weight",
     "weighted_gram",
     "WeightedGeometry",
@@ -71,7 +73,10 @@ class WeightOperator:
             if data.size == 0:
                 raise ValueError("index weight must be a nonempty index set")
         elif kind in ("diag", "dense"):
-            data, ndim = np.asarray(data, dtype=float), 1 if kind == "diag" else 2
+            try:
+                data, ndim = np.asarray(data, dtype=float), 1 if kind == "diag" else 2
+            except TypeError as exc:  # a dict, say; a string is numpy's ValueError
+                raise ValueError(f"{kind} weight must hold numbers: {exc}") from None
             if data.ndim != ndim:
                 raise ValueError(f"{kind} weight must be {ndim}-D, got {data.ndim}-D")
             if not np.all(np.isfinite(data)):
@@ -138,35 +143,86 @@ def as_weight_operator(weight, dim: int) -> WeightOperator:
     ``None`` means the identity; 1-D arrays are diagonals; 2-D arrays are
     dense operators.  Index sets must be constructed explicitly through
     :meth:`WeightOperator.from_indices` since a 1-D integer array is
-    indistinguishable from a diagonal.
+    indistinguishable from a diagonal.  Every weight parameter enters here.
     """
     if weight is None:
         return WeightOperator.identity(dim)
     if isinstance(weight, WeightOperator):
-        if weight.dim != dim:
+        if weight.dim != _check_int(dim, "dim"):
             raise DimensionMismatchError(
                 f"weight operator has {weight.dim} columns, expected {dim}")
         return weight
-    arr = np.asarray(weight, dtype=float)
-    return WeightOperator("diag" if arr.ndim == 1 else "dense", arr, dim)
+    return WeightOperator("diag" if np.ndim(weight) == 1 else "dense", weight, dim)
 
 
-def trace_weight(omega: WeightOperator, dim: int) -> float:
-    """Normalized weight trace ``tr(W^T W) / dim``."""
+@dataclass(frozen=True)
+class Partition:
+    """Disjoint cover of ``range(dim)`` by nonempty, sorted index blocks."""
+
+    dim: int
+    blocks: tuple
+
+    def __post_init__(self):
+        dim = _check_int(self.dim, "dim")
+        if dim < 1:
+            raise ValueError(f"partition dim must be positive, got {dim}")
+        if not isinstance(self.blocks, (tuple, list)):
+            raise ValueError(f"partition blocks must be a sequence, got {self.blocks!r}")
+        blocks = tuple(_index_set(b, dim, "partition block") for b in self.blocks)
+        if any(b.size == 0 or np.any(b[1:] <= b[:-1]) for b in blocks):
+            raise ValueError("every partition block must be nonempty and strictly increasing")
+        counts = np.bincount(np.concatenate((np.empty(0, np.intp),) + blocks), minlength=dim)
+        if np.any(counts > 1):
+            raise ValueError("partition blocks must be disjoint")
+        if not np.all(counts):
+            raise ValueError("partition blocks must cover every index")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def to_lists(self) -> list:
+        return [b.tolist() for b in self.blocks]
+
+    @classmethod
+    def from_lists(cls, dim: int, lists) -> "Partition":
+        if not isinstance(lists, (tuple, list)):
+            raise ValueError(f"partition blocks must be a sequence, got {lists!r}")
+        return cls(dim, tuple(np.sort(_index_set(b, dim, "partition block")) for b in lists))
+
+    @classmethod
+    def from_json(cls, path, dim: int) -> "Partition":
+        """Read a partition file; an invalid partition raises ``MatrixFileError``."""
+        lists = io.read_partition_json(path)
+        try:
+            return cls.from_lists(dim, lists)
+        except ValueError as exc:
+            raise io.MatrixFileError(f"{path}: {exc}") from exc
+
+
+def as_partition(part, dim: int, side: str) -> Partition:
+    """``part`` checked to be a :class:`Partition` of the ``dim`` ``side`` indices of ``Y``."""
+    if not isinstance(part, Partition):
+        raise ValueError(f"{side} partition must be a Partition, got {type(part).__name__}")
+    if part.dim != dim:
+        raise DimensionMismatchError(f"{side} partition covers {part.dim} {side}s, Y has {dim}")
+    return part
+
+
+def trace_weight(omega, dim: int) -> float:
+    """Normalized weight trace ``tr(W^T W) / dim``; ``omega`` as in :func:`as_weight_operator`."""
     dim = _check_int(dim, "dim")
     if dim < 1:
         raise ValueError(f"trace dim must be positive, got {dim}")
-    if omega.dim != dim:
-        raise DimensionMismatchError(
-            f"weight operator has {omega.dim} columns, expected {dim}")
-    return omega.trace_gram() / float(dim)
+    return as_weight_operator(omega, dim).trace_gram() / float(dim)
 
 
-def weighted_gram(vectors, omega: WeightOperator) -> np.ndarray:
+def weighted_gram(vectors, omega) -> np.ndarray:
     """Gram matrix of weighted vectors: entry ``(j, k) = <W v_j, W v_k>``.
 
-    Columns of ``vectors`` must be unit norm (checked to 1e-8).  The
-    result is symmetrized to kill round-off asymmetry.
+    ``omega`` is any weight :func:`as_weight_operator` takes.  Columns of
+    ``vectors`` must be unit norm (checked to 1e-8); the result is symmetrized.
     """
     v = np.asarray(vectors, dtype=float)
     if v.ndim != 2:
@@ -174,7 +230,7 @@ def weighted_gram(vectors, omega: WeightOperator) -> np.ndarray:
     norms = np.sqrt(np.sum(v * v, axis=0))
     if v.shape[1] and np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("columns must be unit vectors (within 1e-8)")
-    w = omega.apply(v)
+    w = as_weight_operator(omega, v.shape[0]).apply(v)
     gram = abt(w.T, w.T)
     with np.errstate(over="ignore"):  # an overflow is reported by the geometry check
         return (gram + gram.T) / 2.0

@@ -17,65 +17,17 @@ much as the shared SVD, and one ``SpectralFit`` serves many partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import io
 from .denoise import LocalizedResult, spectral_fit
-from .geometry import _index_set
+from .geometry import Partition
 from .spiked import _check_int
 
 __all__ = [
-    "Partition",
     "make_equispaced_partition",
     "LocalizedResult",
     "localized_denoise",
 ]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint cover of ``range(dim)`` by nonempty, sorted index blocks."""
-
-    dim: int
-    blocks: tuple
-
-    def __post_init__(self):
-        dim = _check_int(self.dim, "dim")
-        if dim < 1:
-            raise ValueError(f"partition dim must be positive, got {dim}")
-        if not isinstance(self.blocks, (tuple, list)):
-            raise ValueError(f"partition blocks must be a sequence, got {self.blocks!r}")
-        blocks = tuple(_index_set(b, dim, "partition block") for b in self.blocks)
-        if any(b.size == 0 or np.any(b[1:] <= b[:-1]) for b in blocks):
-            raise ValueError("every partition block must be nonempty and strictly increasing")
-        counts = np.bincount(np.concatenate((np.empty(0, np.intp),) + blocks), minlength=dim)
-        if np.any(counts > 1):
-            raise ValueError("partition blocks must be disjoint")
-        if not np.all(counts):
-            raise ValueError("partition blocks must cover every index")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def to_lists(self) -> list:
-        return [b.tolist() for b in self.blocks]
-
-    @classmethod
-    def from_lists(cls, dim: int, lists) -> "Partition":
-        return cls(dim, tuple(np.sort(_index_set(b, dim, "partition block")) for b in lists))
-
-    @classmethod
-    def from_json(cls, path, dim: int) -> "Partition":
-        """Read a partition file; an invalid partition raises ``MatrixFileError``."""
-        lists = io.read_partition_json(path)
-        try:
-            return cls.from_lists(dim, lists)
-        except ValueError as exc:
-            raise io.MatrixFileError(f"{path}: {exc}") from exc
 
 
 def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:

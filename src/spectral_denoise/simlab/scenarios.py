@@ -18,8 +18,8 @@ from ..applications import (NoiseCovariances, SamplingPattern,
                             estimate_noise_covariances, missing_data_denoise,
                             shrink_submatrix_baseline, whiten_denoise)
 from ..denoise import spectral_denoise, spectral_fit, svs_shrink
-from ..geometry import WeightOperator
-from ..localized import Partition, make_equispaced_partition
+from ..geometry import Partition, WeightOperator
+from ..localized import make_equispaced_partition
 from .._blas import abt, norm
 from .._svd import top_svd
 from ..spiked import cosines
@@ -172,7 +172,9 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
         Y += sig.X
         Y /= sigma  # unit-variance convention: divide by sigma, scale back
         mask_rng = make_rng(derive_seed(seed, 3 * k + 2))
-        mask = (mask_rng.random((p, n)) < np.outer(q_row, q_col))
+        # 64-row blocks hold no p x n uniforms; the draws match one p x n call's.
+        mask = np.vstack([mask_rng.random((q.size, n)) < np.outer(q, q_col)
+                          for q in np.split(q_row, range(64, p, 64))])
         pattern = SamplingPattern.from_dense(Y, mask, q_row, q_col)
         res = missing_data_denoise(pattern, margin=float(params["margin"]))
         out.append({

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from spectral_denoise import (DegenerateEstimateError, DimensionMismatchError,
-                              IllConditionedRecoveryError, Partition, SamplingPattern,
-                              WeightOperator, as_weight_operator, cosines,
-                              diagonal_denoise, estimate_spike_params,
-                              recover_population_geometry, spectral_denoise,
-                              submatrix_denoise, trace_weight, weighted_gram)
+                              IllConditionedRecoveryError, NoiseCovariances, Partition,
+                              SamplingPattern, WeightOperator, as_weight_operator,
+                              backproject, cosines, diagonal_denoise, estimate_spike_params,
+                              missing_data_denoise, recover_population_geometry,
+                              spectral_denoise, submatrix_denoise, trace_weight,
+                              weighted_gram, whiten_denoise)
+from spectral_denoise._svd import top_svd
 from spectral_denoise.spiked import SpikeParams
 
 
@@ -138,6 +140,48 @@ def test_malformed_constructor_input_rejected(build, error, match):
     with pytest.raises(error, match=match) as info:
         build()
     assert info.type is error
+
+
+_Y = np.arange(12.0).reshape(3, 4)
+_V = np.eye(5)[:, :2]
+
+
+# Weight, size and pipeline arguments: a ``(error, match)`` row must raise
+# exactly that error, any other row is the value the call returns.  A weight
+# of ``None`` is the uniform weight here as in every denoiser.
+@pytest.mark.parametrize("build, expected", [
+    (lambda: trace_weight(None, 5), 1.0),
+    (lambda: weighted_gram(_V, None).tobytes(), (_V.T @ _V).tobytes()),
+    (lambda: trace_weight(np.ones(4), 5), (DimensionMismatchError, "4 columns, expected 5")),
+    (lambda: weighted_gram(_V, WeightOperator.identity(4)),
+     (DimensionMismatchError, "4 columns, expected 5")),
+    (lambda: as_weight_operator(WeightOperator.identity(5), 2.5),
+     (ValueError, "dim must be an integer, got 2.5")),
+    (lambda: as_weight_operator(WeightOperator.identity(5), "5"),
+     (ValueError, "dim must be an integer, got '5'")),
+    (lambda: WeightOperator.from_diagonal({}), (ValueError, "diag weight must hold numbers")),
+    (lambda: as_weight_operator({}, 5), (ValueError, "dense weight must hold numbers")),
+    (lambda: top_svd(_Y, 2.5), (ValueError, "k must be an integer, got 2.5")),
+    (lambda: top_svd(_Y, True), (ValueError, "k must be an integer, got True")),
+    (lambda: missing_data_denoise(None),
+     (ValueError, "pattern must be a SamplingPattern, got NoneType")),
+    (lambda: backproject(None), (ValueError, "pattern must be a SamplingPattern, got NoneType")),
+    (lambda: whiten_denoise(_Y, None),
+     (ValueError, "cov must be a NoiseCovariances, got NoneType")),
+    (lambda: NoiseCovariances(np.ones(3), np.ones(4)).whiten([[1.0]]),
+     (DimensionMismatchError, r"Y has shape \(1, 1\), covariances expect \(3, 4\)")),
+], ids=["trace-none", "gram-none", "trace-raw-width", "gram-operator-width",
+        "as-weight-dim-float", "as-weight-dim-str", "from-diagonal-dict", "as-weight-dict",
+        "top-svd-k-float", "top-svd-k-bool", "missing-data-none", "backproject-none",
+        "whiten-none", "whiten-list"])
+def test_weight_and_pipeline_arguments(build, expected):
+    if isinstance(expected, tuple):
+        error, match = expected
+        with pytest.raises(error, match=match) as info:
+            build()
+        assert info.type is error
+    else:
+        assert build() == expected
 
 
 def test_unknown_weight_kind_rejected():

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from spectral_denoise import (DimensionMismatchError, Partition, WeightOperator,
                               localized_denoise, make_equispaced_partition,
                               spectral_denoise, spectral_fit, svs_shrink)
-from spectral_denoise import denoise
+from spectral_denoise import denoise, geometry
 from spectral_denoise.io import MatrixFileError
 from spectral_denoise.simlab import (gen_signal, two_block_vectors,
                                      weighted_loss)
@@ -39,6 +40,30 @@ class TestPartition:
     def test_non_integer_size_rejected(self, dim, num_blocks, name):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             make_equispaced_partition(dim, num_blocks)
+
+    # A partition argument must be a ``Partition`` of its side's width; the
+    # check is ``geometry.as_partition``, whatever the entry point.
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda Y: spectral_fit(Y).localized(None, None), ValueError,
+         "row partition must be a Partition, got NoneType"),
+        (lambda Y: localized_denoise(Y, 3, 4), ValueError,
+         "row partition must be a Partition, got int"),
+        (lambda Y: localized_denoise(Y, make_equispaced_partition(20, 2), [list(range(30))]),
+         ValueError, "column partition must be a Partition, got list"),
+        (lambda Y: localized_denoise(Y, SimpleNamespace(dim=20, blocks=(np.arange(20),)),
+                                     make_equispaced_partition(30, 2)),
+         ValueError, "row partition must be a Partition, got SimpleNamespace"),
+        (lambda Y: geometry.as_partition(make_equispaced_partition(29, 2), 30, "column"),
+         DimensionMismatchError, "column partition covers 29 columns, Y has 30"),
+        (lambda Y: Partition.from_lists(6, None), ValueError, "must be a sequence, got None"),
+        (lambda Y: Partition.from_lists(6, 5), ValueError, "must be a sequence, got 5"),
+    ], ids=["fit-none", "localized-int", "localized-list", "localized-duck-typed",
+            "as-partition-width", "from-lists-none", "from-lists-int"])
+    def test_partition_arguments(self, call, error, match):
+        Y = np.random.default_rng(0).standard_normal((20, 30))
+        with pytest.raises(error, match=match) as info:
+            call(Y)
+        assert info.type is error
 
     def test_validation(self):
         with pytest.raises(ValueError):

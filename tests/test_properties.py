@@ -1,4 +1,4 @@
-"""Property sweep over shapes, ranks, sampling patterns, partitions and signal kinds.
+"""Property sweep over shapes, ranks, weights, sampling patterns, partitions and signal kinds.
 
 Each case draws ``p, n`` in 6..40 and a seed (and, for the denoisers, a
 forced rank 0-3), and plants three spikes well clear of the bulk edge, so
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_denoise import (Partition, SamplingPattern, SpectralDenoiseError,
-                              WeightOperator, backproject, diagonal_denoise,
-                              localized_denoise, missing_data_denoise,
-                              spectral_denoise, svs_shrink)
+                              WeightOperator, as_weight_operator, backproject,
+                              diagonal_denoise, localized_denoise, missing_data_denoise,
+                              spectral_denoise, svs_shrink, trace_weight, weighted_gram)
 from spectral_denoise.simlab import gen_signal, make_rng
 
 SWEEP = settings(max_examples=40, deadline=None, derandomize=True)
@@ -118,6 +118,20 @@ def test_partition_from_labels_and_one_bad_index(dim, seed):
                        (unsorted, "strictly increasing")):
         with pytest.raises(ValueError, match=match):
             Partition(dim, bad)
+
+
+@SWEEP
+@given(dim=st.integers(1, 40), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["none", "diag", "diag-list", "dense", "dense-list"]))
+def test_raw_weight_and_its_operator_give_the_same_bytes(dim, k, seed, kind):
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.standard_normal((dim, min(k, dim))))
+    diag, dense = rng.uniform(0.1, 2.0, dim), rng.standard_normal((3, dim))
+    raw = {"none": None, "diag": diag, "diag-list": diag.tolist(), "dense": dense,
+           "dense-list": dense.tolist()}[kind]
+    op = WeightOperator.identity(dim) if raw is None else as_weight_operator(raw, dim)
+    assert trace_weight(raw, dim) == trace_weight(op, dim)
+    assert weighted_gram(V, raw).tobytes() == weighted_gram(V, op).tobytes()
 
 
 @SWEEP

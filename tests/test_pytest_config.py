@@ -1,6 +1,7 @@
-"""The suite's pytest configuration rejects an unregistered marker.
+"""The suite's pytest configuration rejects an unregistered marker and a leaked file.
 
-Without it a misspelt ``slow`` only warns, and the test runs in the fast tier.
+Without it a misspelt ``slow`` only warns, and the test runs in the fast tier;
+an unclosed file handle only warns, and the handle leaks in the library.
 """
 
 import subprocess
@@ -10,11 +11,24 @@ from pathlib import Path
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def _run(tmp_path, test):
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(test)],
+                          capture_output=True, text=True, cwd=tmp_path)
+
+
 def test_misspelt_marker_fails_collection(tmp_path):
     test = tmp_path / "test_typo.py"
     test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(test)],
-                         capture_output=True, text=True, cwd=tmp_path)
+    run = _run(tmp_path, test)
     assert run.returncode != 0
     assert "'slwo' not found in `markers`" in run.stdout
+
+
+def test_unclosed_file_fails_the_test(tmp_path):
+    test = tmp_path / "test_leak.py"
+    test.write_text("import gc\n\n\ndef test_x():\n    fh = open(__file__)\n"
+                    "    del fh\n    gc.collect()\n")
+    run = _run(tmp_path, test)
+    assert run.returncode != 0
+    assert "ResourceWarning: unclosed file" in run.stdout
