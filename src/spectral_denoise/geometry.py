@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from ._blas import abt
 from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
-from .spiked import SpikeParams, _check_int
+from .spiked import SpikeParams, _check_int, _index_set
 
 __all__ = [
     "WeightOperator",
@@ -42,19 +42,6 @@ ALPHA_FLOOR = 1e-8
 #: Cosines below this are too small to divide by when solving for the
 #: population cross inner products.
 MIN_COSINE = 1e-6
-
-
-def _index_set(values, dim: int, name: str) -> np.ndarray:
-    """``values`` as a 1-D ``intp`` array in ``[0, dim)``; anything else raises ``ValueError``."""
-    dim = _check_int(dim, "dim")
-    arr = np.asarray(values)
-    if arr.size and not np.issubdtype(arr.dtype, np.integer):
-        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D index set, got {arr.ndim}-D")
-    if arr.size and (arr.min() < 0 or arr.max() >= dim):
-        raise ValueError(f"{name} out of range: entries must lie in [0, {dim})")
-    return arr.astype(np.intp, copy=False)
 
 
 class WeightOperator:

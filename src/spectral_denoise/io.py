@@ -6,11 +6,12 @@ Empty lines are skipped.  Cells go through numpy's float parser
 (``np.loadtxt``): decimal and exponent forms, ``nan`` and ``inf``,
 surrounding spaces and double-quoted cells are accepted, Python-only
 spellings such as ``1_000`` are not (with a missing-value sentinel the
-cells go through Python's ``float``, which accepts them).  Numbers are
-written with shortest round-trip formatting (``repr``) and CRLF line
-endings, so a matrix that is written and re-read is bit-identical.
-Coordinate CSV carries a ``row,col,value`` header and zero-based integer
-indices.  A file that is malformed or not decodable text raises
+cells go through Python's ``float``, which accepts them).  Numbers are written
+with ``repr``'s shortest round-trip digits and CRLF line endings, so a matrix that
+is written and re-read is bit-identical; dense values are formatted in blocks by
+a vectorized formatter (``_shortest``), and those outside its fast range by
+``repr``.  Coordinate CSV carries a ``row,col,value`` header and zero-based
+integer indices.  A file that is malformed or not decodable text raises
 ``MatrixFileError``.
 """
 
@@ -23,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _shortest
 from .errors import DimensionMismatchError, MatrixFileError
+from .spiked import _index_set
 
 __all__ = [
     "read_dense_csv",
@@ -117,8 +119,8 @@ def write_dense_csv(path, matrix) -> None:
         raise ValueError("matrix must be 2-D")
     # The csv module's default dialect: CRLF line ends, and ``repr`` of a
     # float never needs quoting.
-    with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in m)
+    with open(path, "wb") as fh:
+        _shortest.write_csv(fh, m)
 
 
 def read_coordinate_csv(path):
@@ -138,20 +140,19 @@ def read_coordinate_csv(path):
     return tuple(np.ascontiguousarray(table[k]) for k in ("r", "c", "v"))
 
 
+_INTP = np.iinfo(np.intp)
+
+
 def write_coordinate_csv(path, rows, cols, values) -> None:
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
+    rows = _index_set(rows, _INTP.max, "rows")  # no bound but the type's is known
+    cols = _index_set(cols, _INTP.max, "cols")
     values = np.asarray(values, dtype=float)
     if not (rows.shape == cols.shape == values.shape):
         raise DimensionMismatchError("rows, cols, values must have equal length")
     with open(path, "w", newline="") as fh:
         fh.write("row,col,value\r\n")
         fh.writelines(f"{r},{c},{v!r}\r\n" for r, c, v in
-                      zip(map(int, rows.tolist()), map(int, cols.tolist()),
-                          values.tolist()))
-
-
-_INTP = np.iinfo(np.intp)
+                      zip(rows.tolist(), cols.tolist(), values.tolist()))
 
 
 def _is_index(i) -> bool:

@@ -61,6 +61,19 @@ def _check_int(value, name: str) -> int:
     return operator.index(value)
 
 
+def _index_set(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as a 1-D ``intp`` array in ``[0, dim)``; anything else raises ``ValueError``."""
+    dim = _check_int(dim, "dim")
+    arr = np.asarray(values)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D index set, got {arr.ndim}-D")
+    if arr.size and (arr.min() < 0 or arr.max() >= dim):
+        raise ValueError(f"{name} out of range: entries must lie in [0, {dim})")
+    return arr.astype(np.intp, copy=False)
+
+
 def _check_t(t) -> np.ndarray:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):

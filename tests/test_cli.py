@@ -4,7 +4,7 @@ import csv_reference
 import numpy as np
 import pytest
 
-from spectral_denoise import cli, io, shrink_submatrix_baseline
+from spectral_denoise import DimensionMismatchError, cli, io, shrink_submatrix_baseline
 from spectral_denoise.simlab import gen_noise, gen_signal
 
 
@@ -52,6 +52,18 @@ class TestIoFormats:
         rows, cols, values = io.read_coordinate_csv(path)
         assert rows.tolist() == [0, 2, 1]
         assert values.tolist() == [0.5, -1.25, 3.75]
+
+    def test_coordinate_writer_checks_indices(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match="rows must hold integers"):
+            io.write_coordinate_csv(path, [0.5, -3], [1.9, 2], [1.0, 2.0])
+        with pytest.raises(ValueError, match="rows out of range"):
+            io.write_coordinate_csv(path, [0, -3], [1, 2], [1.0, 2.0])
+        with pytest.raises(ValueError, match="cols must be a 1-D index set"):
+            io.write_coordinate_csv(path, [0, 3], [[1, 2]], [1.0, 2.0])
+        with pytest.raises(DimensionMismatchError):
+            io.write_coordinate_csv(path, [0, 3], [1, 2], [1.0])
+        assert not path.exists()
 
     def test_coordinate_header_required(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -1,7 +1,8 @@
 """The suite's pytest configuration rejects an unregistered marker and a leaked file.
 
 Without it a misspelt ``slow`` only warns, and the test runs in the fast tier;
-an unclosed file handle only warns, and the handle leaks in the library.
+an unclosed file handle only warns, and the handle leaks in the library.  Its
+warning filters still let a failing hypothesis property print its example.
 """
 
 import subprocess
@@ -32,3 +33,13 @@ def test_unclosed_file_fails_the_test(tmp_path):
     run = _run(tmp_path, test)
     assert run.returncode != 0
     assert "ResourceWarning: unclosed file" in run.stdout
+
+
+def test_failing_property_prints_example(tmp_path):
+    test = tmp_path / "test_prop.py"
+    test.write_text("from hypothesis import given, strategies as st\n\n\n"
+                    "@given(st.integers())\ndef test_fails(x):\n    assert x < 5\n")
+    run = _run(tmp_path, test)
+    assert run.returncode == 1
+    assert "Falsifying example: test_fails(" in run.stdout
+    assert "INTERNALERROR" not in run.stdout
