@@ -34,16 +34,20 @@ bytes, and BLAS ``dsyrk`` (the Gram's upper triangle) and ``dgemm``
 They, the Krylov products (``dsymm``, ``dgemm``), ``qr``, ``eigh``,
 ``dpotrf``, ``dsyevr`` and the dense fallback's ``gesdd`` all run in
 scipy's OpenBLAS, as every large product and factorization of the program
-does (see ``_blas``): one BLAS thread pool per process.
+does (see ``_blas``): one BLAS thread pool per process.  A head whose Gram
+order is below ``_ONE_THREAD_BELOW`` runs all of that on one thread.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 import numpy as np
 from scipy.linalg import eigh, qr, svd
 from scipy.linalg.blas import dgemm, dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf
 
+from ._blas import one_thread
 from .spiked import _check_int
 
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
@@ -61,6 +65,16 @@ _KRYLOV_MIN_DIM = 1250
 #: that of ``dsyevr``.
 _BLOCK = 8
 _MAX_STEPS = 24
+
+#: Smallest Gram order whose head runs on the BLAS threads as found, set
+#: from the crossover in ``BENCH_21.json``: below it a second thread gains
+#: little on an idle host and loses much when another thread is runnable.
+_ONE_THREAD_BELOW = 600
+
+
+def _threads(Y: np.ndarray):
+    """``one_thread`` below ``_ONE_THREAD_BELOW``, else a no-op."""
+    return one_thread if min(Y.shape) < _ONE_THREAD_BELOW else nullcontext()
 
 
 def _dense(Y: np.ndarray, k: int):
@@ -207,8 +221,9 @@ def top_svd(Y: np.ndarray, k: int):
     k = min(k, p, n)
     if k == 0:
         return np.zeros((p, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros(0)
-    head = _gram_head(Y, None, k)
-    return _dense(Y, k) if head is None else head
+    with _threads(Y):
+        head = _gram_head(Y, None, k)
+        return _dense(Y, k) if head is None else head
 
 
 def svd_head_above(Y: np.ndarray, threshold: float):
@@ -224,8 +239,9 @@ def svd_head_above(Y: np.ndarray, threshold: float):
     if min(Y.shape) == 0:
         return top_svd(Y, 0)
     square = threshold * threshold  # inf past the float range; ** would raise
-    head = None if square == np.inf else _gram_head(Y, threshold)
-    U, s, V, spectrum = _dense(Y, min(Y.shape)) if head is None else head
+    with _threads(Y):
+        head = None if square == np.inf else _gram_head(Y, threshold)
+        U, s, V, spectrum = _dense(Y, min(Y.shape)) if head is None else head
     # dsyevr may also return an eigenvalue that rounds onto the boundary.
     count = int(np.sum(s > threshold))
     return U[:, :count], s[:count], V[:, :count], spectrum if head is None else s[:count]

@@ -38,17 +38,18 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(base: int, index: int) -> int:
     """Seed for replicate ``index``: ``splitmix64(base + index)``."""
-    return splitmix64((int(base) + int(index)) & _MASK64)
+    return splitmix64((_check_int(base, "seed") + _check_int(index, "index")) & _MASK64)
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_check_int(seed, "seed") & _MASK64))
 
 
 def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -> np.ndarray:
     """Draw a ``p x n`` iid noise matrix; identical for identical arguments.
 
-    ``scale`` defaults to ``1/sqrt(n)``, matching the spiked-model convention.
+    ``scale``, a finite number > 0, defaults to ``1/sqrt(n)``, matching the
+    spiked-model convention.
     Student-t draws with ``df > 2`` are rescaled to unit variance before
     scaling; ``df <= 2`` has no finite variance, is deliberately allowed for
     breakdown studies, and triggers a warning instead of normalization.
@@ -56,7 +57,10 @@ def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -
     if _check_int(p, "noise p") <= 0 or _check_int(n, "noise n") <= 0:
         raise ValueError("noise dimensions must be positive")
     rng = make_rng(seed)
-    scale = 1.0 / np.sqrt(n) if scale is None else scale
+    if scale is None:
+        scale = 1.0 / np.sqrt(n)
+    elif isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
+        raise ValueError(f"noise scale must be a finite number > 0, got {scale!r}")
     if dist == "gaussian":
         return rng.standard_normal((p, n)) * scale
     if dist == "rademacher":

@@ -164,6 +164,9 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
     t = tuple(np.sqrt(np.sqrt(gamma) + 200.0 * k) for k in range(params["rank"], 0, -1))
     q_row = np.linspace(*params["q_row_range"], p)
     q_col = np.linspace(*params["q_col_range"], n)
+    if not all(0 < sigma < np.inf for sigma in params["sigma_grid"]):
+        raise ValueError("missing-data param 'sigma_grid' must hold finite numbers above 0, "
+                         f"got {params['sigma_grid']!r}")
     out = []
     for k, sigma in enumerate(params["sigma_grid"]):
         rng = make_rng(derive_seed(seed, 3 * k))

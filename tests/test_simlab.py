@@ -235,6 +235,11 @@ class TestGenNoise:
         with pytest.raises(ValueError, match="noise distribution"):
             gen_noise(dist, 10, 10)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1, 0, "a", True, [1.0]])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="noise scale"):
+            gen_noise("gaussian", 3, 4, seed=1, scale=scale)
+
 
 class TestSeeds:
     def test_splitmix_is_stable(self):
@@ -245,6 +250,19 @@ class TestSeeds:
     def test_derive_seed_decorrelates_neighbours(self):
         seeds = {derive_seed(7, i) for i in range(100)}
         assert len(seeds) == 100
+
+    @pytest.mark.parametrize("call", [
+        lambda: derive_seed(1.9, 0), lambda: derive_seed(1, 0.5), lambda: derive_seed(True, 0),
+        lambda: make_rng(1.5), lambda: make_rng("1"),
+        lambda: gen_noise("gaussian", 3, 4, seed=1.5)])
+    def test_non_integer_seed_rejected(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_negative_seeds_still_work(self):
+        assert derive_seed(-3, 1) == derive_seed(-2, 0)
+        assert make_rng(-1).random() == make_rng(2**64 - 1).random()
+        assert gen_noise("gaussian", 3, 4, seed=np.int64(-5)).shape == (3, 4)
 
 
 class TestRelativeError:
@@ -477,13 +495,15 @@ class TestRunner:
         ({"scale": 1e300}, "scale"),
         ({"scenario": "heteroscedastic", "params": {"kappa_grid": [0]}}, "kappa_grid"),
         ({"scenario": "heteroscedastic", "params": {"kappa_grid": [10.0, -1.0]}}, "kappa_grid"),
+        ({"scenario": "missing-data", "params": {"sigma_grid": [-0.5]}}, "sigma_grid"),
+        ({"scenario": "missing-data", "params": {"sigma_grid": [0.25, 0]}}, "sigma_grid"),
         ({"scenario": "weighted-inner-products", "params": {"omega_fraction": 0}},
          "omega_fraction"),
         # n = 500 gives p = 1000 rows, and round(0.0004 * 1000) == 0
         ({"scenario": "weighted-inner-products", "params": {"omega_fraction": 0.0004}},
          "omega_fraction"),
-    ], ids=["scale-1.5", "scale-1e300", "kappa-0", "kappa-negative", "omega-0",
-            "omega-keeps-no-row"])
+    ], ids=["scale-1.5", "scale-1e300", "kappa-0", "kappa-negative", "sigma-negative",
+            "sigma-0", "omega-0", "omega-keeps-no-row"])
     def test_out_of_range_value_is_named_before_any_draw(self, config, key, tmp_path,
                                                          monkeypatch):
         def no_draw(*args, **kwargs):
