@@ -63,6 +63,10 @@ class TestIoFormats:
             io.write_coordinate_csv(path, [0, 3], [[1, 2]], [1.0, 2.0])
         with pytest.raises(DimensionMismatchError):
             io.write_coordinate_csv(path, [0, 3], [1, 2], [1.0])
+        with pytest.raises(ValueError, match="values must be real, got dtype complex128"):
+            io.write_coordinate_csv(path, [0, 3], [1, 2], [1.0, 2j])
+        with pytest.raises(ValueError, match="matrix must be real, got dtype complex128"):
+            io.write_dense_csv(path, [[1 + 2j, 3]])
         assert not path.exists()
 
     def test_coordinate_header_required(self, tmp_path):

@@ -54,8 +54,25 @@ def edge_values():
               around(2.0**52, 2), around(np.finfo(float).max, 2)[:3]]
     values += [around(10.0**k, 2) for k in range(-307, 309)]
     values += [around(2.0**k, 2) for k in range(-1022, 1024)]
+    values += [around(float(f"{s}e{e}"), 2) for s in significand_edges()
+               for e in (-300, -297, -24, -21, -20, -17, -1, 0, 8, 287)]
     values = np.concatenate(values)
     return np.concatenate([values, -values])
+
+
+def significand_edges():
+    """17-digit significands at the edges of the digit stage, which splits them
+    into a first digit and four digits at a time: 10**16 (first nine digits
+    10**8, last eight 0), 10**16 + 10**8 - 1 (last eight 10**8 - 1), a "00"
+    pair at each of the 8 pair positions and a "0000" at each of the 4 quad
+    positions.  10**17 - 1 is no double's shortest significand; its neighbours
+    carry into the exponent.  The exponents above put each in both of repr's
+    forms, with 2- and 3-digit exponents, and near most a double has exactly
+    these digits."""
+    digits = "12345678912345678"
+    return ([10**16, 10**17 - 1, 10**16 + 10**8 - 1]
+            + [int(digits[:1 + 2 * j] + "00" + digits[3 + 2 * j:]) for j in range(8)]
+            + [int(digits[:1 + 4 * j] + "0000" + digits[5 + 4 * j:]) for j in range(4)])
 
 
 @PROPERTY
