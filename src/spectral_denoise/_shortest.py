@@ -51,7 +51,7 @@ def _scaled(ax, E):
 # By N's last two whole digits: f + mid is N less the midpoint between the multiples
 # of 100 (10) around it, and off takes N's whole part to the nearer of the two.
 _R, _D = np.arange(100), np.arange(100) % 10
-_ROUND = np.array([_R - 50, _D - 5, (_R >= 50) * 100 - _R, (_D >= 5) * 10 - _D], float).T
+_ROUND = np.array([_R - 50.0, _D - 5.0, (_R >= 50) * 100.0 - _R, (_D >= 5) * 10.0 - _D]).T
 
 
 def _shortest(a):

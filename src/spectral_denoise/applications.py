@@ -18,7 +18,8 @@ from scipy.linalg import eigh
 from ._blas import abt
 from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
-from .geometry import WeightOperator, _index_set, as_weight_operator
+from .geometry import WeightOperator, as_weight_operator
+from .spiked import _index_set, _real_array
 
 __all__ = [
     "PipelineResult",
@@ -42,6 +43,15 @@ def _expect(value, kind, name: str):
     if not isinstance(value, kind):
         raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _as_mask(mask) -> np.ndarray:
+    """``mask`` as booleans; it must hold booleans, or numbers that are all 0 or 1."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+        mask = _real_array(mask, "mask", finite=False)
+        if not np.all((mask == 0) | (mask == 1)):  # NaN fails both comparisons
+            raise ValueError("mask must hold booleans, or numbers that are all 0 or 1")
+    return mask.astype(bool, copy=False)
 
 
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
@@ -89,8 +99,8 @@ class NoiseCovariances:
     """
 
     def __init__(self, row_cov, col_cov):
-        self.row_cov = np.asarray(row_cov, dtype=float)
-        self.col_cov = np.asarray(col_cov, dtype=float)
+        self.row_cov = _real_array(row_cov, "row covariance")
+        self.col_cov = _real_array(col_cov, "col covariance")
         self._row = self._prepare(self.row_cov, "row")
         self._col = self._prepare(self.col_cov, "col")
 
@@ -103,13 +113,11 @@ class NoiseCovariances:
         if cov.size == 0:
             raise ValueError(f"{side} covariance is empty")
         if cov.ndim == 1:
-            if np.any(cov <= 0) or not np.all(np.isfinite(cov)):
-                raise ValueError(f"{side} covariance diagonal must be positive and finite")
+            if np.any(cov <= 0):
+                raise ValueError(f"{side} covariance diagonal must be positive")
             return cov, None
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise ValueError(f"{side} covariance must be a vector or a square matrix")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError(f"{side} covariance must have finite entries")
         if not np.allclose(cov, cov.T, atol=1e-10 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError(f"{side} covariance must be symmetric")
         vals, vecs = eigh((cov + cov.T) / 2.0)
@@ -144,7 +152,7 @@ class NoiseCovariances:
 
     def whiten(self, Y) -> np.ndarray:
         """``S**-0.5 @ Y @ T**-0.5``."""
-        Y = np.asarray(Y, dtype=float)
+        Y = _real_array(Y, "Y", ndim=2, finite=False)
         if Y.shape != (self.p, self.n):
             raise DimensionMismatchError(
                 f"Y has shape {Y.shape}, covariances expect ({self.p}, {self.n})")
@@ -229,23 +237,19 @@ class SamplingPattern:
     """
 
     def __init__(self, q_row, q_col, rows, cols, values):
-        self.q_row = np.asarray(q_row, dtype=float)
-        self.q_col = np.asarray(q_col, dtype=float)
-        if self.q_row.ndim != 1 or self.q_col.ndim != 1:
-            raise ValueError("q_row and q_col must be 1-D probability vectors")
+        self.q_row = _real_array(q_row, "q_row", ndim=1, finite=False)
+        self.q_col = _real_array(q_col, "q_col", ndim=1, finite=False)
         for name, q in (("q_row", self.q_row), ("q_col", self.q_col)):
             if not np.all((q > 0) & (q <= 1)):  # NaN fails both comparisons
                 raise ValueError(f"{name}: sampling probabilities must lie in (0, 1]")
         p, n = self.shape
         self.rows = _index_set(rows, p, "rows")
         self.cols = _index_set(cols, n, "cols")
-        self.values = np.asarray(values, dtype=float)
+        self.values = _real_array(values, "values", ndim=1)
         if not self.rows.shape == self.cols.shape == self.values.shape:
-            raise ValueError("rows, cols, values must be 1-D and the same length")
+            raise ValueError("rows, cols, values must have the same length")
         if np.any(np.diff(np.sort(self.rows * n + self.cols)) == 0):
             raise ValueError("duplicate coordinates in sampling pattern")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values: observed entries must be finite")
 
     @property
     def shape(self):
@@ -253,8 +257,7 @@ class SamplingPattern:
 
     @classmethod
     def from_dense(cls, full, mask, q_row, q_col) -> "SamplingPattern":
-        full = np.asarray(full, dtype=float)
-        mask = np.asarray(mask, dtype=bool)
+        full, mask = _real_array(full, "full", finite=False), _as_mask(mask)
         shape = (np.size(q_row), np.size(q_col))
         if not full.shape == mask.shape == shape:
             raise DimensionMismatchError(f"matrix {full.shape} and mask {mask.shape} must "
@@ -285,12 +288,12 @@ def estimate_sampling_probabilities(mask):
     invariant to it.  The downstream guarantees assume known design
     probabilities; estimates from the mask carry no such guarantee.
     """
-    mask = np.asarray(mask, dtype=bool)
+    mask = _as_mask(mask)
     if mask.ndim != 2:
         raise ValueError("mask must be a 2-D boolean matrix")
-    m = mask.mean()
-    if m == 0:
+    if not mask.any():  # an empty mask too, whose mean is nan
         raise DegenerateEstimateError("mask has no observed entries")
+    m = mask.mean()
     row = mask.mean(axis=1) / np.sqrt(m)
     col = mask.mean(axis=0) / np.sqrt(m)
     floor = 1.0 / (4.0 * max(mask.shape))

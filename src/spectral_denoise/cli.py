@@ -129,7 +129,7 @@ def _cmd_submatrix(args) -> int:
 
 def _covariance_from_file(path) -> np.ndarray:
     m = io.read_dense_csv(path)
-    if m.ndim == 2 and 1 in m.shape:
+    if 1 in m.shape:
         return m.ravel()
     return m
 

@@ -26,7 +26,8 @@ from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
-                     forward_singular_value, _check_margin, _check_int)
+                     forward_singular_value, _check_int, _check_margin, _check_real,
+                     _real_array)
 
 __all__ = [
     "SpectralFit",
@@ -196,13 +197,9 @@ def amse_estimate(geom: WeightedGeometry) -> float:
 
 def _as_matrix(Y) -> np.ndarray:
     """``Y`` as a float array, checked to be a non-empty matrix of finite entries."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("Y must be a 2-D matrix")
+    Y = _real_array(Y, "Y", ndim=2)
     if Y.size == 0:
         raise DegenerateEstimateError(f"Y is empty (shape {Y.shape[0]}x{Y.shape[1]})")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must have finite entries")
     return Y
 
 
@@ -406,9 +403,10 @@ def check_shrinkage_properties(gamma: float, alpha: float, beta: float,
     large enough energies both properties can fail, which the report
     flags rather than raises.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-D vector")
+    alpha, beta, mu, nu = map(_check_real, (alpha, beta, mu, nu), ("alpha", "beta", "mu", "nu"))
+    t = _real_array(t_grid, "t_grid", ndim=1)
+    if t.size == 0:
+        raise ValueError("t_grid must be nonempty")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     if np.any(t <= detection_point(gamma)):

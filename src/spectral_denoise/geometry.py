@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from ._blas import abt
 from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
-from .spiked import SpikeParams, _check_int, _index_set
+from .spiked import SpikeParams, _check_int, _check_real, _index_set, _real_array
 
 __all__ = [
     "WeightOperator",
@@ -60,14 +60,7 @@ class WeightOperator:
             if data.size == 0:
                 raise ValueError("index weight must be a nonempty index set")
         elif kind in ("diag", "dense"):
-            try:
-                data, ndim = np.asarray(data, dtype=float), 1 if kind == "diag" else 2
-            except TypeError as exc:  # a dict, say; a string is numpy's ValueError
-                raise ValueError(f"{kind} weight must hold numbers: {exc}") from None
-            if data.ndim != ndim:
-                raise ValueError(f"{kind} weight must be {ndim}-D, got {data.ndim}-D")
-            if not np.all(np.isfinite(data)):
-                raise ValueError(f"{kind} weight must have finite entries")
+            data = _real_array(data, f"{kind} weight", ndim=1 if kind == "diag" else 2)
             if data.shape[-1] != dim:
                 raise DimensionMismatchError(f"weight has {data.shape[-1]} columns, expected {dim}")
         elif kind != "identity":
@@ -98,11 +91,10 @@ class WeightOperator:
     # -- behaviour ------------------------------------------------------
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         """Apply the weight to the rows of ``vectors`` (shape ``(dim, k)``)."""
-        v = np.asarray(vectors, dtype=float)
-        rows = v.shape[0]
-        if rows != self.dim:
+        v = _real_array(vectors, "vectors", finite=False)
+        if v.ndim not in (1, 2) or v.shape[0] != self.dim:
             raise DimensionMismatchError(
-                f"weight operator acts on length-{self.dim} vectors, got {rows}")
+                f"weight operator acts on length-{self.dim} vectors, got shape {v.shape}")
         if self.kind == "identity":
             return v
         if self.kind == "diag":
@@ -211,9 +203,7 @@ def weighted_gram(vectors, omega) -> np.ndarray:
     ``omega`` is any weight :func:`as_weight_operator` takes.  Columns of
     ``vectors`` must be unit norm (checked to 1e-8); the result is symmetrized.
     """
-    v = np.asarray(vectors, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("vectors must be a 2-D matrix with unit columns")
+    v = _real_array(vectors, "vectors", ndim=2)
     norms = np.sqrt(np.sum(v * v, axis=0))
     if v.shape[1] and np.max(np.abs(norms - 1.0)) > 1e-8:
         raise ValueError("columns must be unit vectors (within 1e-8)")
@@ -305,14 +295,13 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
     or recovered Gram is not finite (a weight whose square overflows)
     raises :class:`DegenerateEstimateError`.
     """
-    D = np.asarray(gram_left, dtype=float)
-    Dt = np.asarray(gram_right, dtype=float)
+    D = _real_array(gram_left, "gram_left", finite=False)
+    Dt = _real_array(gram_right, "gram_right", finite=False)
     r = spikes.rank
     if D.shape != (r, r) or Dt.shape != (r, r):
         raise DimensionMismatchError(
             f"grams must be {r}x{r} to match spikes.rank={r}")
-    mu = float(mu)
-    nu = float(nu)
+    mu, nu = _check_real(mu, "mu"), _check_real(nu, "nu")
     if mu <= 0 or nu <= 0:
         raise ValueError("normalized weight traces mu, nu must be positive")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, _shortest
 from .errors import DimensionMismatchError, MatrixFileError
-from .spiked import _index_set
+from .spiked import _index_set, _real_array
 
 __all__ = [
     "read_dense_csv",
@@ -112,20 +112,9 @@ def read_dense_csv(path, missing_sentinel: str | None = None):
     return matrix, mask
 
 
-def _real(values, name: str) -> np.ndarray:
-    """``values`` as floats; a complex array raises ``ValueError`` rather than losing its
-    imaginary part."""
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
-    return arr.astype(float, copy=False)
-
-
 def write_dense_csv(path, matrix) -> None:
     """Write a matrix as dense CSV with shortest round-trip decimals."""
-    m = _real(matrix, "matrix")
-    if m.ndim != 2:
-        raise ValueError("matrix must be 2-D")
+    m = _real_array(matrix, "matrix", ndim=2, finite=False)
     # The csv module's default dialect: CRLF line ends, and ``repr`` of a
     # float never needs quoting.
     with open(path, "wb") as fh:
@@ -155,7 +144,7 @@ _INTP = np.iinfo(np.intp)
 def write_coordinate_csv(path, rows, cols, values) -> None:
     rows = _index_set(rows, _INTP.max, "rows")  # no bound but the type's is known
     cols = _index_set(cols, _INTP.max, "cols")
-    values = _real(values, "values")
+    values = _real_array(values, "values", finite=False)
     if not (rows.shape == cols.shape == values.shape):
         raise DimensionMismatchError("rows, cols, values must have equal length")
     with open(path, "w", newline="") as fh:

@@ -8,6 +8,7 @@ from scipy.linalg import qr
 from .._blas import abt, norm
 from ..errors import DimensionMismatchError, UndefinedMetricError
 from ..geometry import as_weight_operator
+from ..spiked import _real_array
 
 __all__ = ["relative_error", "weighted_loss"]
 
@@ -18,10 +19,10 @@ def _two_sided(M, omega, pi) -> np.ndarray:
     return as_weight_operator(pi, n).apply(as_weight_operator(omega, p).apply(M).T).T
 
 
-def _operands(*ops):
+def _operands(**ops):
     """Both as factor pairs (``A @ B.T``) if both are pairs, else both dense, checked."""
-    ops = [tuple(np.asarray(m, dtype=float) for m in M) if isinstance(M, tuple)
-           else np.asarray(M, dtype=float) for M in ops]
+    ops = [tuple(_real_array(m, name, finite=False) for m in M) if isinstance(M, tuple)
+           else _real_array(M, name, ndim=2, finite=False) for name, M in ops.items()]
     for A, B in (M for M in ops if isinstance(M, tuple)):
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
             raise DimensionMismatchError(f"factors {A.shape}, {B.shape} are not A @ B.T")
@@ -46,7 +47,7 @@ def _pair_norms(X_hat, X, omega, pi):
 
 def weighted_loss(A, B, omega=None, pi=None) -> float:
     """Squared weighted Frobenius distance ``||W_r (A - B) W_c^T||_F**2``."""
-    A, B = _operands(A, B)
+    A, B = _operands(A=A, B=B)
     if isinstance(A, tuple):
         return _pair_norms(A, B, omega, pi)[0]**2
     return float(np.sum(_two_sided(A - B, omega, pi)**2))
@@ -58,7 +59,7 @@ def relative_error(X_hat, X, omega=None, pi=None) -> float:
     Uniform weights when ``omega``/``pi`` are omitted.  Raises
     :class:`UndefinedMetricError` when the weighted norm of ``X`` is zero.
     """
-    X_hat, X = _operands(X_hat, X)
+    X_hat, X = _operands(X_hat=X_hat, X=X)
     num, denom = (_pair_norms(X_hat, X, omega, pi) if isinstance(X, tuple) else
                   (norm(_two_sided(X_hat - X, omega, pi)), norm(_two_sided(X, omega, pi))))
     if denom == 0:

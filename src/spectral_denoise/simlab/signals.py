@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
-from ..spiked import _check_int
+from ..spiked import _check_int, _real_array
 
 __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
@@ -144,7 +144,8 @@ def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
     for m, name in ((p, "p"), (n, "n")):
         if _check_int(m, f"{kind} signal {name}") < 1:
             raise ValueError(f"{kind} signal {name} must be positive, got {m}")
-    U, t, V = (np.asarray(a, dtype=float) for a in maker(p, n, **params))
+    U, t, V = (_real_array(a, f"{kind} signal {name}", finite=False)
+               for a, name in zip(maker(p, n, **params), "UtV"))
     r = t.size
     if t.ndim != 1 or not (r and np.all(np.isfinite(t) & (t > 0)) and np.all(np.diff(t) <= 0)):
         raise ValueError(f"{kind} signal t must be a nonempty, finite, positive and "

@@ -74,17 +74,33 @@ def _index_set(values, dim: int, name: str) -> np.ndarray:
     return arr.astype(np.intp, copy=False)
 
 
+def _real_array(values, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
+    """``values`` as a float array, a float64 array as itself; complex or non-numeric data,
+    another dimension than ``ndim`` or, if ``finite``, nan or inf raise ``ValueError``."""
+    try:
+        arr = np.asarray(values)
+        if not np.iscomplexobj(arr):
+            arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
+        raise ValueError(f"{name} must hold numbers: {exc}") from None
+    if arr.dtype != float:
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got {arr.ndim}-D")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must have finite entries")
+    return arr
+
+
 def _check_t(t) -> np.ndarray:
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError("population singular value t must be positive and finite")
+    t_arr = _real_array(t, "population singular value t")
+    if np.any(t_arr <= 0):
+        raise ValueError("population singular value t must be positive")
     return t_arr
 
 
 def _check_spectrum(singular_values) -> np.ndarray:
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.ndim != 1:
-        raise ValueError("singular_values must be a 1-D vector")
+    sv = _real_array(singular_values, "singular_values", ndim=1)
     if sv.size and np.any(np.diff(sv) > 0):
         raise ValueError("singular_values must be sorted in descending order")
     return sv
@@ -121,11 +137,12 @@ def invert_singular_value(lam, gamma: float):
     Inverts :func:`forward_singular_value` on the detectable branch.
     Requires ``lam > 1 + sqrt(gamma)``; at or below the bulk edge the map
     is not invertible and :class:`BelowDetectionThresholdError` is raised,
-    naming the first offending value and, for arrays, its index.  Values
-    past ``max_float**0.25 / 2`` raise :class:`DegenerateEstimateError`.
+    naming the first offending value and, for arrays, its index.  Finite
+    values past ``max_float**0.25 / 2`` raise :class:`DegenerateEstimateError`,
+    nan and inf ``ValueError``.
     """
     gamma = _check_gamma(gamma)
-    lam_arr = np.asarray(lam, dtype=float)
+    lam_arr = _real_array(lam, "lam")
     edge = bulk_edge(gamma)
     if np.any(lam_arr <= edge):
         k = int(np.argmax(lam_arr <= edge))
