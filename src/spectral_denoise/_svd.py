@@ -48,7 +48,7 @@ from scipy.linalg.blas import dgemm, dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf
 
 from ._blas import one_thread
-from .spiked import _check_int
+from .spiked import _check_int, _check_real
 
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
 #: to the smallest square it must resolve.  Also the relative margin
@@ -233,7 +233,7 @@ def svd_head_above(Y: np.ndarray, threshold: float):
     the whole spectrum (dense fallback).  A threshold whose square
     overflows (above about ``1.3e154``) takes the dense fallback.
     """
-    threshold = float(threshold)
+    threshold = _check_real(threshold, "threshold")
     if not 0 <= threshold < np.inf:
         raise ValueError("threshold must be finite and nonnegative")
     if min(Y.shape) == 0:

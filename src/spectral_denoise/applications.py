@@ -19,7 +19,7 @@ from ._blas import abt
 from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
 from .errors import DegenerateEstimateError, DimensionMismatchError
 from .geometry import WeightOperator, as_weight_operator
-from .spiked import _index_set, _real_array
+from .spiked import _expect, _index_set, _real_array
 
 __all__ = [
     "PipelineResult",
@@ -37,12 +37,6 @@ __all__ = [
 
 #: Floor applied to estimated noise variances so the whitening transforms exist.
 VARIANCE_FLOOR = 1e-12
-
-
-def _expect(value, kind, name: str):
-    if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
-    return value
 
 
 def _as_mask(mask) -> np.ndarray:
@@ -221,7 +215,7 @@ def snr_gain_tau(cov: NoiseCovariances) -> float:
     inequality this is at least 1, with equality exactly when both
     covariances are multiples of the identity.
     """
-    ts, tsi, tt, tti = cov.trace_stats()
+    ts, tsi, tt, tti = _expect(cov, NoiseCovariances, "cov").trace_stats()
     return ts * tsi * tt * tti
 
 

@@ -13,6 +13,7 @@ other domain errors, 1 anything unexpected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -36,6 +37,12 @@ EXIT_FILE = 2
 EXIT_DIMENSION = 3
 EXIT_THRESHOLD = 4
 EXIT_DOMAIN = 5
+
+#: Exit code of each error class, the first match winning; any other error is unexpected.
+_EXIT_CODES = ((BelowDetectionThresholdError, EXIT_THRESHOLD),
+               (DimensionMismatchError, EXIT_DIMENSION),
+               ((io.MatrixFileError, OSError), EXIT_FILE),
+               ((SpectralDenoiseError, ValueError), EXIT_DOMAIN))
 
 ENV_SEED = "SPECTRAL_DENOISE_SEED"
 
@@ -79,8 +86,9 @@ def _weight_from_args(args, side: str, dim: int):
     return None
 
 
-def _finish(args, estimate, result, extra=None) -> int:
-    io.write_dense_csv(args.output, estimate)
+def _finish(args, result, extra=None) -> int:
+    """Write ``result.estimate`` and, if asked for, the report built from ``result``."""
+    io.write_dense_csv(args.output, result.estimate)
     if args.report:
         config = {k: v for k, v in vars(args).items()
                   if k != "func" and not k.startswith("_")}
@@ -96,7 +104,7 @@ def _cmd_denoise(args) -> int:
     omega = _weight_from_args(args, "row", p)
     pi = _weight_from_args(args, "col", n)
     res = spectral_denoise(Y, omega, pi, rank=args.rank, margin=args.margin)
-    return _finish(args, res.estimate, res)
+    return _finish(args, res)
 
 
 def _partition_from_args(args, side: str, dim: int) -> Partition:
@@ -115,7 +123,7 @@ def _cmd_localized(args) -> int:
     res = localized_denoise(Y, rows, cols, rank=args.rank, margin=args.margin)
     extra = {"row_blocks": len(rows), "col_blocks": len(cols),
              "tile_amse": res.tile_amse.tolist()}
-    return _finish(args, res.estimate, res, extra=extra)
+    return _finish(args, res, extra=extra)
 
 
 def _cmd_submatrix(args) -> int:
@@ -124,7 +132,7 @@ def _cmd_submatrix(args) -> int:
     cols = io.read_index_json(args.cols)
     run = shrink_submatrix_baseline if args.baseline else submatrix_denoise
     res = run(Y, rows, cols, rank=args.rank, margin=args.margin)
-    return _finish(args, res.estimate, res, extra={"baseline": args.baseline})
+    return _finish(args, res, extra={"baseline": args.baseline})
 
 
 def _covariance_from_file(path) -> np.ndarray:
@@ -145,49 +153,40 @@ def _cmd_whiten(args) -> int:
         cov = NoiseCovariances(_covariance_from_file(args.cov_s),
                                _covariance_from_file(args.cov_t))
     res = whiten_denoise(Y, cov, rank=args.rank, margin=args.margin)
-    return _finish(args, res.estimate, res,
-                   extra={"estimated_covariances": bool(args.estimate_cov)})
+    return _finish(args, res, extra={"estimated_covariances": args.estimate_cov})
 
 
 def _cmd_complete(args) -> int:
-    if not (np.isfinite(args.noise_sd) and args.noise_sd > 0):
-        raise ValueError(f"--noise-sd must be finite and > 0, got {args.noise_sd}")
+    """``complete``: the pipeline runs on unit-noise values, its result is mapped back once."""
+    sd = args.noise_sd
+    if not (np.isfinite(sd) and sd > 0):
+        raise ValueError(f"--noise-sd must be finite and > 0, got {sd}")
     q_row = _vector_from_csv(args.q_row)
     q_col = _vector_from_csv(args.q_col)
     if args.input_format == "coordinate":
         rows, cols, values = io.read_coordinate_csv(args.input)
-        if args.noise_sd != 1.0:
-            values = values / args.noise_sd
+        values /= sd
         pattern = SamplingPattern.from_coordinates(rows, cols, values, q_row, q_col)
     else:
         matrix, mask = io.read_dense_csv(args.input,
                                          missing_sentinel=args.missing_sentinel)
-        if args.noise_sd != 1.0:
-            matrix = matrix / args.noise_sd
+        matrix /= sd
         pattern = SamplingPattern.from_dense(matrix, mask, q_row, q_col)
     res = missing_data_denoise(pattern, rank=args.rank, margin=args.margin)
-    estimate = res.estimate
-    estimate *= args.noise_sd
-    extra = {"observed_entries": pattern.values.size,
-             "amse_estimate": float(res.amse_estimate * args.noise_sd**2)}
-    return _finish(args, estimate, res, extra=extra)
+    res = dataclasses.replace(res, left=res.left * sd, amse_estimate=res.amse_estimate * sd**2)
+    return _finish(args, res, extra={"observed_entries": pattern.values.size})
 
 
 def _cmd_simulate(args) -> int:
     config = io._read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: a simlab config must be a JSON object")
-    if args.scenario:
-        config["scenario"] = args.scenario
-    if args.replicates is not None:
-        config["replicates"] = args.replicates
-    if args.scale is not None:
-        config["scale"] = args.scale
     seed = args.seed
     if seed is None and os.environ.get(ENV_SEED):
         seed = int(os.environ[ENV_SEED])
-    if seed is not None:
-        config["seed"] = seed
+    overrides = {"scenario": args.scenario or None, "replicates": args.replicates,
+                 "scale": args.scale, "seed": seed}
+    config.update((k, v) for k, v in overrides.items() if v is not None)
     report = run_experiment(config, output_dir=args.output_dir, jobs=args.jobs)
     print(f"{report.scenario}: {len(report.rows)} rows, "
           f"{report.wall_clock_s:.2f}s -> {args.output_dir}")
@@ -262,25 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BelowDetectionThresholdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (io.MatrixFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FILE
-    except (SpectralDenoiseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except Exception as exc:  # pragma: no cover - safety net
-        print(f"unexpected error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+    except Exception as exc:
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), EXIT_UNEXPECTED)
+        print(f"{'unexpected error' if code == EXIT_UNEXPECTED else 'error'}: {exc}",
+              file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
-                     forward_singular_value, _check_int, _check_margin, _check_real,
+                     forward_singular_value, _check_int, _check_margin, _check_real, _expect,
                      _real_array)
 
 __all__ = [
@@ -137,7 +137,7 @@ def _solve_side(gram: np.ndarray, cross: np.ndarray):
 
 def _solve(geom: WeightedGeometry):
     """Optimal coefficients and raw AMSE, one pseudoinverse per side."""
-    L, K = _solve_side(geom.gram_left, geom.cross_left)
+    L, K = _solve_side(_expect(geom, WeightedGeometry, "geom").gram_left, geom.cross_left)
     R, Kt = _solve_side(geom.gram_right, geom.cross_right)
     t = geom.t
     raw = t @ (geom.pop_gram_left * geom.pop_gram_right - K * Kt) @ t
@@ -403,7 +403,8 @@ def check_shrinkage_properties(gamma: float, alpha: float, beta: float,
     large enough energies both properties can fail, which the report
     flags rather than raises.
     """
-    alpha, beta, mu, nu = map(_check_real, (alpha, beta, mu, nu), ("alpha", "beta", "mu", "nu"))
+    alpha, beta, mu, nu = (_check_real(v, name, positive=True) for v, name in
+                           zip((alpha, beta, mu, nu), ("alpha", "beta", "mu", "nu")))
     t = _real_array(t_grid, "t_grid", ndim=1)
     if t.size == 0:
         raise ValueError("t_grid must be nonempty")

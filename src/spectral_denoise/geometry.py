@@ -22,7 +22,7 @@ import numpy as np
 from . import io
 from ._blas import abt
 from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
-from .spiked import SpikeParams, _check_int, _check_real, _index_set, _real_array
+from .spiked import SpikeParams, _check_int, _check_real, _expect, _index_set, _real_array
 
 __all__ = [
     "WeightOperator",
@@ -182,9 +182,7 @@ class Partition:
 
 def as_partition(part, dim: int, side: str) -> Partition:
     """``part`` checked to be a :class:`Partition` of the ``dim`` ``side`` indices of ``Y``."""
-    if not isinstance(part, Partition):
-        raise ValueError(f"{side} partition must be a Partition, got {type(part).__name__}")
-    if part.dim != dim:
+    if _expect(part, Partition, f"{side} partition").dim != dim:
         raise DimensionMismatchError(f"{side} partition covers {part.dim} {side}s, Y has {dim}")
     return part
 
@@ -297,7 +295,7 @@ def recover_population_geometry(gram_left, gram_right, spikes: SpikeParams,
     """
     D = _real_array(gram_left, "gram_left", finite=False)
     Dt = _real_array(gram_right, "gram_right", finite=False)
-    r = spikes.rank
+    r = _expect(spikes, SpikeParams, "spikes").rank
     if D.shape != (r, r) or Dt.shape != (r, r):
         raise DimensionMismatchError(
             f"grams must be {r}x{r} to match spikes.rank={r}")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, _shortest
 from .errors import DimensionMismatchError, MatrixFileError
-from .spiked import _index_set, _real_array
+from .spiked import _expect, _index_set, _real_array
 
 __all__ = [
     "read_dense_csv",
@@ -233,7 +233,7 @@ def build_report(command: str, config: dict, result, extra: dict | None = None) 
 
 def validate_report(report: dict) -> None:
     """Raise ``ValueError`` if a report is missing required keys."""
-    missing = [k for k in REPORT_REQUIRED_KEYS if k not in report]
+    missing = [k for k in REPORT_REQUIRED_KEYS if k not in _expect(report, dict, "report")]
     if missing:
         raise ValueError(f"report is missing keys: {missing}")
     if report["schema"] != REPORT_SCHEMA_VERSION:

@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from ..spiked import _check_int
+from ..spiked import _check_int, _check_real
 
 __all__ = ["gen_noise", "splitmix64", "derive_seed", "make_rng"]
 
@@ -57,10 +57,7 @@ def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -
     if _check_int(p, "noise p") <= 0 or _check_int(n, "noise n") <= 0:
         raise ValueError("noise dimensions must be positive")
     rng = make_rng(seed)
-    if scale is None:
-        scale = 1.0 / np.sqrt(n)
-    elif isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and 0 < scale < math.inf):
-        raise ValueError(f"noise scale must be a finite number > 0, got {scale!r}")
+    scale = 1.0 / np.sqrt(n) if scale is None else _check_real(scale, "noise scale", positive=True)
     if dist == "gaussian":
         return rng.standard_normal((p, n)) * scale
     if dist == "rademacher":

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
-from ..spiked import _check_int, _real_array
+from ..spiked import _check_int, _check_real, _real_array
 
 __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
@@ -35,7 +35,7 @@ class Signal:
 
 def two_block_vectors(m: int):
     """The orthonormal pair (constant, sign flip at ``m // 2``) in ``R**m``, ``m >= 2``."""
-    if m < 2:
+    if _check_int(m, "two_block_vectors m") < 2:
         raise ValueError(f"two_block_vectors needs m >= 2, got m={m}")
     h = m // 2
     const = np.full(m, 1.0 / np.sqrt(m))
@@ -44,9 +44,9 @@ def two_block_vectors(m: int):
 
 
 def _checkerboard(p, n, f=0.7, cells=8):
-    if not 0.5 <= f <= 1.0:
+    if not 0.5 <= _check_real(f, "checkerboard f") <= 1.0:
         raise ValueError(f"light-square energy fraction must be in [1/2, 1], got {f}")
-    if cells < 2 or cells % 2:
+    if _check_int(cells, "checkerboard cells") < 2 or cells % 2:
         raise ValueError("cells must be an even number of cells per side, >= 2")
     if p % cells or n % cells:
         raise ValueError(f"p and n must be divisible by cells={cells}")
@@ -74,7 +74,7 @@ def _piecewise_constant(p, n, t, energy_fraction=0.5):
     r = np.size(t)
     if r not in (1, 2):
         raise ValueError("piecewise_constant supports rank 1 or 2")
-    rho = float(energy_fraction)
+    rho = _check_real(energy_fraction, "energy_fraction")
     if not 0.0 < rho < 1.0:
         raise ValueError("energy_fraction must lie strictly between 0 and 1")
 

@@ -13,6 +13,7 @@ denoiser in the package starts from.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -33,10 +34,13 @@ __all__ = [
 ]
 
 
-def _check_real(value, name: str) -> float:
-    """``value`` as a ``float``; booleans and anything but a real scalar raise ``ValueError``."""
+def _check_real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a ``float``; booleans, anything but a real scalar and, if ``positive``,
+    anything but a finite number > 0 raise ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if positive and not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
     return float(value)
 
 
@@ -61,6 +65,13 @@ def _check_int(value, name: str) -> int:
     return operator.index(value)
 
 
+def _expect(value, kind, name: str):
+    """``value`` itself if it is a ``kind``; anything else raises ``ValueError``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _index_set(values, dim: int, name: str) -> np.ndarray:
     """``values`` as a 1-D ``intp`` array in ``[0, dim)``; anything else raises ``ValueError``."""
     dim = _check_int(dim, "dim")
@@ -75,13 +86,17 @@ def _index_set(values, dim: int, name: str) -> np.ndarray:
 
 
 def _real_array(values, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
-    """``values`` as a float array, a float64 array as itself; complex or non-numeric data,
-    another dimension than ``ndim`` or, if ``finite``, nan or inf raise ``ValueError``."""
+    """``values`` as a float array, a float64 array as itself; complex data, text or other
+    non-numbers, another dimension than ``ndim`` or, if ``finite``, nan or inf raise
+    ``ValueError``."""
     try:
         arr = np.asarray(values)
+        if arr.dtype.kind in "SU" or arr.dtype == object and any(
+                isinstance(v, (str, bytes)) for v in arr.flat):
+            raise TypeError(f"could not convert text of dtype {arr.dtype} to float")
         if not np.iscomplexobj(arr):
             arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:  # a dict, a ragged list, a string
+    except (TypeError, ValueError) as exc:  # text, a dict, a ragged list
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.dtype != float:
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")

@@ -4,7 +4,9 @@ import csv_reference
 import numpy as np
 import pytest
 
-from spectral_denoise import DimensionMismatchError, cli, io, shrink_submatrix_baseline
+from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
+                              DimensionMismatchError, SamplingPattern, SpectralDenoiseError, cli,
+                              io, missing_data_denoise, shrink_submatrix_baseline)
 from spectral_denoise.simlab import gen_noise, gen_signal
 
 
@@ -440,6 +442,45 @@ class TestCompleteCommand:
                          "--q-col", missing, f"--noise-sd={sd}",
                          "--output", str(tmp_path / "x.csv")]) == 5
         assert "--noise-sd" in capsys.readouterr().err
+
+    def test_noise_sd_scales_the_unit_noise_estimate(self, tmp_path):
+        self._write_inputs(tmp_path, "coordinate")
+        assert cli.main(["complete", "--input", str(tmp_path / "obs.csv"),
+                         "--q-row", str(tmp_path / "qr.csv"), "--q-col", str(tmp_path / "qc.csv"),
+                         "--noise-sd", "1.1", "--output", str(tmp_path / "x.csv")]) == 0
+        rows, cols, values = io.read_coordinate_csv(tmp_path / "obs.csv")
+        q_r = io.read_dense_csv(tmp_path / "qr.csv").ravel()
+        q_c = io.read_dense_csv(tmp_path / "qc.csv").ravel()
+        res = missing_data_denoise(SamplingPattern.from_coordinates(
+            rows, cols, values / 1.1, q_r, q_c))
+        assert res.rank >= 1
+        want = res.estimate * 1.1
+        got = io.read_dense_csv(tmp_path / "x.csv")
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+class TestExitCodes:
+    """``cli.main`` maps each error class to its exit code and an ``error:`` line."""
+
+    @pytest.mark.parametrize("exc, code, prefix", [
+        (BelowDetectionThresholdError("below"), 4, "error: "),
+        (DimensionMismatchError("shapes"), 3, "error: "),
+        (io.MatrixFileError("bad file"), 2, "error: "),
+        (FileNotFoundError("no file"), 2, "error: "),
+        (DegenerateEstimateError("degenerate"), 5, "error: "),
+        (SpectralDenoiseError("domain"), 5, "error: "),
+        (ValueError("value"), 5, "error: "),
+        (RuntimeError("boom"), 1, "unexpected error: "),
+    ], ids=["threshold", "dimension", "matrix-file", "os-error", "degenerate", "domain",
+            "value", "runtime"])
+    def test_error_class_maps_to_its_exit_code(self, monkeypatch, capsys, tmp_path,
+                                               exc, code, prefix):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_simulate", fail)
+        assert cli.main(["simulate", "--output-dir", str(tmp_path)]) == code
+        assert capsys.readouterr().err == f"{prefix}{exc}\n"
 
 
 class TestSimulateCommand:

@@ -1,9 +1,11 @@
 """Every float-array argument follows one rule: ``spiked._real_array``.
 
-Complex data, data that is not numbers and (where the site needs finite
-values) nan or inf raise ``ValueError`` naming the argument.  They never
-drop an imaginary part, return a value or raise ``TypeError``.  A mask
-holds booleans or 0s and 1s.
+Complex data, text, data that is not numbers and (where the site needs
+finite values) nan or inf raise ``ValueError`` naming the argument.  They
+never drop an imaginary part, read text as numbers, return a value or raise
+``TypeError``.  A mask holds booleans or 0s and 1s.  An argument that must
+be an object of one of the package's types, or a real scalar, follows the
+same rule.
 """
 
 import os
@@ -13,14 +15,17 @@ import numpy as np
 import pytest
 
 from spectral_denoise import (DegenerateEstimateError, NoiseCovariances, Partition,
-                              SamplingPattern, WeightOperator, as_weight_operator, check_shrinkage_properties, cosines,
+                              SamplingPattern, WeightOperator, amse_estimate,
+                              as_weight_operator, check_shrinkage_properties, cosines,
                               diagonal_denoise, estimate_noise_covariances,
                               estimate_sampling_probabilities, estimate_spike_params,
                               forward_singular_value, invert_singular_value, localized_denoise,
-                              naive_rank, recover_population_geometry, shrink_submatrix_baseline,
-                              spectral_denoise, spectral_fit, submatrix_denoise, svs_shrink,
-                              weighted_gram, whiten_denoise)
-from spectral_denoise.io import write_coordinate_csv, write_dense_csv
+                              naive_rank, optimal_coefficients, recover_population_geometry,
+                              shrink_submatrix_baseline, snr_gain_tau, spectral_denoise,
+                              spectral_fit, submatrix_denoise, svs_shrink, weighted_gram,
+                              whiten_denoise)
+from spectral_denoise._svd import svd_head_above
+from spectral_denoise.io import validate_report, write_coordinate_csv, write_dense_csv
 from spectral_denoise.simlab import gen_signal, relative_error, weighted_loss
 from spectral_denoise.spiked import _real_array
 
@@ -106,6 +111,8 @@ def _bad(kind, good):
         return (good + 1j).tolist()
     if kind == "dict":
         return {}
+    if kind == "text":
+        return good.astype(str)
     bad = good.copy()
     bad.flat[0] = np.nan
     return bad
@@ -114,7 +121,7 @@ def _bad(kind, good):
 @pytest.mark.parametrize("call, good, name, kind", [
     pytest.param(call, good, name, kind, id=f"{label}-{kind}")
     for label, call, good, name, finite in ARGUMENTS
-    for kind in ("complex-array", "complex-list", "dict") + (("nan",) if finite else ())
+    for kind in ("complex-array", "complex-list", "dict", "text") + (("nan",) if finite else ())
 ])
 def test_argument_that_is_not_a_real_array_is_a_value_error_naming_it(call, good, name, kind):
     call(good)  # the real value is accepted
@@ -141,11 +148,51 @@ def test_non_finite_spectrum_or_vectors_is_a_value_error(call, name):
     (lambda: check_shrinkage_properties(1.0, 1.0, 1.0, 1.0, {}, [1.5, 2.0]), "nu"),
     (lambda: recover_population_geometry(np.eye(2), np.eye(2), _SPIKES, np.complex128(1), 1.0),
      "mu"),
-], ids=["shrinkage-alpha-complex", "shrinkage-nu-dict", "recover-mu-complex"])
+    (lambda: svd_head_above(np.ones((20, 30)), "3.0"), "threshold"),
+    (lambda: svd_head_above(np.ones((20, 30)), True), "threshold"),
+], ids=["shrinkage-alpha-complex", "shrinkage-nu-dict", "recover-mu-complex",
+        "head-threshold-text", "head-threshold-bool"])
 def test_scalar_arguments_are_real_numbers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be a real number") as info:
         call()
     assert info.type is ValueError
+
+
+# Weighted energies and normalized traces: finite and > 0.
+@pytest.mark.parametrize("name", ["alpha", "beta", "mu", "nu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0, 0])
+def test_shrinkage_check_energies_and_traces_are_finite_and_positive(name, value):
+    kwargs = dict(alpha=1.0, beta=1.0, mu=1.0, nu=1.0)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0") as info:
+        check_shrinkage_properties(1.0, t_grid=[1.5, 2.0], **kwargs)
+    assert info.type is ValueError
+
+
+_GEOM = spectral_fit(_Y, rank=0).denoise().geometry
+
+
+# An argument that must be one of the package's objects: anything else is a
+# ValueError naming it, never an AttributeError or a TypeError.
+@pytest.mark.parametrize("call, message", [
+    (lambda: snr_gain_tau(None), "cov must be a NoiseCovariances, got NoneType"),
+    (lambda: amse_estimate(None), "geom must be a WeightedGeometry, got NoneType"),
+    (lambda: optimal_coefficients(3), "geom must be a WeightedGeometry, got int"),
+    (lambda: recover_population_geometry(np.eye(1), np.eye(1), None, 1.0, 1.0),
+     "spikes must be a SpikeParams, got NoneType"),
+    (lambda: validate_report(None), "report must be a dict, got NoneType"),
+], ids=["snr_gain_tau", "amse_estimate", "optimal_coefficients", "recover-spikes",
+        "validate_report"])
+def test_wrong_object_is_a_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
+
+
+def test_typed_arguments_of_the_right_type_are_accepted():
+    assert snr_gain_tau(_COV) == 1.0
+    assert amse_estimate(_GEOM) == 0.0
+    assert optimal_coefficients(_GEOM).shape == (0, 0)
 
 
 _MASK = np.array([[1, 0, 1], [0, 1, 1]])
@@ -155,7 +202,7 @@ MASK_CALLS = {
 }
 BAD_MASKS = {"complex": _MASK + 1j, "complex-list": (_MASK + 0j).tolist(), "dict": {},
              "halves": np.full((2, 3), 0.5), "nan": np.full((2, 3), np.nan),
-             "two": 2 * _MASK}
+             "two": 2 * _MASK, "text": _MASK.astype(str)}
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_MASKS))
@@ -190,6 +237,12 @@ def test_real_array_rule_and_wording():
     assert np.isnan(_real_array([np.nan], "x", finite=False)[0])
     for bad, message in ((x + 0j, "x must be real, got dtype complex128"),
                          ({}, "x must hold numbers: "),
+                         (x.astype(str), "x must hold numbers: could not convert text of "
+                                         "dtype <U32 to float"),
+                         (x.astype(bytes), "x must hold numbers: could not convert text"),
+                         (np.array([1.0, "2"], dtype=object), "x must hold numbers: could not "
+                                                              "convert text of dtype object"),
+                         ([1.0, b"2"], "x must hold numbers: could not convert text"),
                          ([[1.0], [1.0, 2.0]], "x must hold numbers: "),
                          (x[0], "x must be 2-D, got 1-D"),
                          ([1.0, np.inf], "x must have finite entries")):

@@ -130,9 +130,18 @@ class TestOtherSignals:
          "V must be 10 x 2"),
         (partial(gen_noise, "gaussian", 5.7, 3.2), "noise p must be an integer, got 5.7"),
         (partial(gen_noise, "gaussian", True, 3), "noise p must be an integer, got True"),
+        (partial(gen_signal, "checkerboard", 8, 8, cells=4.0),
+         "checkerboard cells must be an integer, got 4.0"),
+        (partial(gen_signal, "checkerboard", 8, 8, f="0.7"),
+         "checkerboard f must be a real number, got '0.7'"),
+        (partial(gen_signal, "piecewise_constant", 10, 10, t=(1.0,), energy_fraction="0.5"),
+         "energy_fraction must be a real number, got '0.5'"),
+        (partial(two_block_vectors, 4.0), "two_block_vectors m must be an integer, got 4.0"),
+        (partial(two_block_vectors, "4"), "two_block_vectors m must be an integer, got '4'"),
     ], ids=["unknown-kind", "no-rng", "custom-without-t", "piecewise-rank-3",
             "piecewise-fraction", "block-image-rank", "custom-shape", "noise-float-dims",
-            "noise-bool-dim"])
+            "noise-bool-dim", "checkerboard-float-cells", "checkerboard-text-f",
+            "piecewise-text-fraction", "two-block-float-m", "two-block-text-m"])
     def test_signal_domain_errors_name_the_problem(self, draw, message):
         with pytest.raises(ValueError, match=message):
             draw()
