@@ -215,10 +215,7 @@ def top_svd(Y: np.ndarray, k: int):
     fallback); in both cases ``spectrum[:k] == s``.
     """
     p, n = Y.shape
-    k = _check_int(k, "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    k = min(k, p, n)
+    k = min(_check_int(k, "k", low=0), p, n)
     if k == 0:
         return np.zeros((p, 0)), np.zeros(0), np.zeros((n, 0)), np.zeros(0)
     with _threads(Y):
@@ -233,9 +230,7 @@ def svd_head_above(Y: np.ndarray, threshold: float):
     the whole spectrum (dense fallback).  A threshold whose square
     overflows (above about ``1.3e154``) takes the dense fallback.
     """
-    threshold = _check_real(threshold, "threshold")
-    if not 0 <= threshold < np.inf:
-        raise ValueError("threshold must be finite and nonnegative")
+    threshold = _check_real(threshold, "threshold", nonnegative=True)
     if min(Y.shape) == 0:
         return top_svd(Y, 0)
     square = threshold * threshold  # inf past the float range; ** would raise

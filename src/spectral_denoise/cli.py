@@ -30,6 +30,7 @@ from .errors import (BelowDetectionThresholdError, DimensionMismatchError,
 from .geometry import Partition, WeightOperator
 from .localized import localized_denoise, make_equispaced_partition
 from .simlab import run_experiment
+from .spiked import _check_real
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -158,9 +159,7 @@ def _cmd_whiten(args) -> int:
 
 def _cmd_complete(args) -> int:
     """``complete``: the pipeline runs on unit-noise values, its result is mapped back once."""
-    sd = args.noise_sd
-    if not (np.isfinite(sd) and sd > 0):
-        raise ValueError(f"--noise-sd must be finite and > 0, got {sd}")
+    sd = _check_real(args.noise_sd, "--noise-sd", positive=True)
     q_row = _vector_from_csv(args.q_row)
     q_col = _vector_from_csv(args.q_col)
     if args.input_format == "coordinate":

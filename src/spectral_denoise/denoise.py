@@ -26,7 +26,7 @@ from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
-                     forward_singular_value, _check_int, _check_margin, _check_real, _expect,
+                     forward_singular_value, _check_int, _check_real, _expect,
                      _real_array)
 
 __all__ = [
@@ -205,17 +205,14 @@ def _as_matrix(Y) -> np.ndarray:
 
 def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):
     """Shared head: top SVD, rank detection, spike parameter recovery."""
-    margin = _check_margin(margin)
+    margin = _check_real(margin, "margin", nonnegative=True)
     Y = _as_matrix(Y)
     p, n = Y.shape
     gamma = p / n
     if rank is None:
         U, s, V, _ = svd_head_above(Y, bulk_edge(gamma) + margin)
     else:
-        r = _check_int(rank, "rank")
-        if r < 0 or r > min(p, n):
-            raise ValueError(f"rank must be between 0 and {min(p, n)}")
-        U, s, V, _ = top_svd(Y, r)
+        U, s, V, _ = top_svd(Y, _check_int(rank, "rank", low=0, high=min(p, n)))
     return Y, U, V, estimate_spike_params(s, gamma, rank=s.size)
 
 

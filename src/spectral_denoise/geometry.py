@@ -52,9 +52,7 @@ class WeightOperator:
     """
 
     def __init__(self, kind: str, data, dim: int):
-        dim = _check_int(dim, "dim")
-        if dim < 0:
-            raise ValueError(f"weight dim must be nonnegative, got {dim}")
+        dim = _check_int(dim, "weight dim", low=0)
         if kind == "indices":
             data = np.unique(_index_set(data, dim, "indices"))
             if data.size == 0:
@@ -142,9 +140,7 @@ class Partition:
     blocks: tuple
 
     def __post_init__(self):
-        dim = _check_int(self.dim, "dim")
-        if dim < 1:
-            raise ValueError(f"partition dim must be positive, got {dim}")
+        dim = _check_int(self.dim, "partition dim", low=1)
         if not isinstance(self.blocks, (tuple, list)):
             raise ValueError(f"partition blocks must be a sequence, got {self.blocks!r}")
         blocks = tuple(_index_set(b, dim, "partition block") for b in self.blocks)
@@ -189,9 +185,7 @@ def as_partition(part, dim: int, side: str) -> Partition:
 
 def trace_weight(omega, dim: int) -> float:
     """Normalized weight trace ``tr(W^T W) / dim``; ``omega`` as in :func:`as_weight_operator`."""
-    dim = _check_int(dim, "dim")
-    if dim < 1:
-        raise ValueError(f"trace dim must be positive, got {dim}")
+    dim = _check_int(dim, "trace dim", low=1)
     return as_weight_operator(omega, dim).trace_gram() / float(dim)
 
 

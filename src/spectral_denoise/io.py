@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, _shortest
 from .errors import DimensionMismatchError, MatrixFileError
-from .spiked import _expect, _index_set, _real_array
+from .spiked import SpikeParams, _expect, _index_set, _real_array
 
 __all__ = [
     "read_dense_csv",
@@ -201,7 +201,7 @@ def build_report(command: str, config: dict, result, extra: dict | None = None) 
     the matrix it wrote.  ``extra`` keys are added last and win.
     """
     fit = getattr(result, "denoise", result)
-    spikes = fit.spikes
+    spikes = _expect(getattr(fit, "spikes", None), SpikeParams, "result.spikes")
     report = {
         "schema": REPORT_SCHEMA_VERSION,
         "version": __version__,

@@ -36,9 +36,7 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
     The first ``dim % num_blocks`` blocks take the larger size.
     """
     dim = _check_int(dim, "dim")
-    num_blocks = _check_int(num_blocks, "num_blocks")
-    if not 1 <= num_blocks <= dim:
-        raise ValueError(f"num_blocks must be in [1, {dim}], got {num_blocks}")
+    num_blocks = _check_int(num_blocks, "num_blocks", low=1, high=dim)
     blocks = np.array_split(np.arange(dim, dtype=np.intp), num_blocks)
     return Partition(dim, tuple(blocks))
 

@@ -54,8 +54,7 @@ def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -
     scaling; ``df <= 2`` has no finite variance, is deliberately allowed for
     breakdown studies, and triggers a warning instead of normalization.
     """
-    if _check_int(p, "noise p") <= 0 or _check_int(n, "noise n") <= 0:
-        raise ValueError("noise dimensions must be positive")
+    p, n = _check_int(p, "noise p", low=1), _check_int(n, "noise n", low=1)
     rng = make_rng(seed)
     scale = 1.0 / np.sqrt(n) if scale is None else _check_real(scale, "noise scale", positive=True)
     if dist == "gaussian":

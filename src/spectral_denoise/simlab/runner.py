@@ -25,6 +25,7 @@ import numpy as np
 
 from .. import __version__
 from ..io import _read_json
+from ..spiked import _check_int
 from .noise import derive_seed
 from .scenarios import SCENARIOS
 
@@ -78,10 +79,8 @@ def resolve_config(config) -> dict:
         raise ValueError(f"unknown scenario {name!r}; expected one of "
                          f"{sorted(SCENARIOS)}")
     seed, replicates = config.get("seed", 0), config.get("replicates", 20)
-    if not _is_int(seed):
-        raise ValueError(f"config 'seed' must be an integer, got {seed!r}")
-    if not (_is_int(replicates) and replicates >= 1):
-        raise ValueError(f"config 'replicates' must be an integer >= 1, got {replicates!r}")
+    seed = _check_int(seed, "config 'seed'")
+    replicates = _check_int(replicates, "config 'replicates'", low=1)
     scale = config.get("scale", 1.0)
     if not (_is_number(scale) and 0 < scale <= 1):
         raise ValueError(f"config 'scale' must be a number in (0, 1], got {scale!r}")
@@ -102,7 +101,7 @@ def resolve_config(config) -> dict:
     return {
         "schema": CONFIG_SCHEMA_VERSION,
         "scenario": name,
-        "seed": int(seed),
+        "seed": seed,
         "replicates": max(1, int(round(replicates * scale))),  # a valid count may round to 0
         "scale": float(scale),
         "params": params,
@@ -206,8 +205,7 @@ def run_experiment(config, output_dir=None, jobs: int = 1) -> ExperimentReport:
     Writes ``report.json`` and ``replicates.csv`` when ``output_dir`` is
     given.
     """
-    if not (_is_int(jobs) and jobs >= 1):
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    jobs = _check_int(jobs, "jobs", low=1)
     resolved = resolve_config(config)
     scenario = SCENARIOS[resolved["scenario"]]
     seeds = tuple(derive_seed(resolved["seed"], i)

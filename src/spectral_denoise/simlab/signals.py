@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
-from ..spiked import _check_int, _check_real, _real_array
+from ..spiked import _check_int, _check_real, _expect, _real_array
 
 __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
@@ -35,8 +35,7 @@ class Signal:
 
 def two_block_vectors(m: int):
     """The orthonormal pair (constant, sign flip at ``m // 2``) in ``R**m``, ``m >= 2``."""
-    if _check_int(m, "two_block_vectors m") < 2:
-        raise ValueError(f"two_block_vectors needs m >= 2, got m={m}")
+    m = _check_int(m, "two_block_vectors m", low=2)
     h = m // 2
     const = np.full(m, 1.0 / np.sqrt(m))
     flip = np.where(np.arange(m) < h, np.sqrt((m - h) / h), -np.sqrt(h / (m - h))) / np.sqrt(m)
@@ -46,8 +45,8 @@ def two_block_vectors(m: int):
 def _checkerboard(p, n, f=0.7, cells=8):
     if not 0.5 <= _check_real(f, "checkerboard f") <= 1.0:
         raise ValueError(f"light-square energy fraction must be in [1/2, 1], got {f}")
-    if _check_int(cells, "checkerboard cells") < 2 or cells % 2:
-        raise ValueError("cells must be an even number of cells per side, >= 2")
+    if _check_int(cells, "checkerboard cells", low=2) % 2:
+        raise ValueError(f"checkerboard cells must be even, got {cells}")
     if p % cells or n % cells:
         raise ValueError(f"p and n must be divisible by cells={cells}")
     # Unit total energy split as f (light) / 1-f (dark) over equal cell counts
@@ -65,6 +64,7 @@ def _checkerboard(p, n, f=0.7, cells=8):
 def _random_orthonormal(p, n, t, rng=None):
     if rng is None:
         raise ValueError("random_orthonormal needs an rng")
+    _expect(rng, np.random.Generator, "random_orthonormal rng")
     U, V = (np.ascontiguousarray(qr(rng.standard_normal((m, np.size(t))), mode="economic")[0])
             for m in (p, n))
     return U, t, V
@@ -142,8 +142,7 @@ def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
     if maker is None:
         raise ValueError(f"unknown signal kind {kind!r}")
     for m, name in ((p, "p"), (n, "n")):
-        if _check_int(m, f"{kind} signal {name}") < 1:
-            raise ValueError(f"{kind} signal {name} must be positive, got {m}")
+        _check_int(m, f"{kind} signal {name}", low=1)
     U, t, V = (_real_array(a, f"{kind} signal {name}", finite=False)
                for a, name in zip(maker(p, n, **params), "UtV"))
     r = t.size

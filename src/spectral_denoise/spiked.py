@@ -34,35 +34,29 @@ __all__ = [
 ]
 
 
-def _check_real(value, name: str, positive: bool = False) -> float:
-    """``value`` as a ``float``; booleans, anything but a real scalar and, if ``positive``,
-    anything but a finite number > 0 raise ``ValueError``."""
+def _check_real(value, name: str, positive: bool = False, nonnegative: bool = False) -> float:
+    """``value`` as a ``float``; booleans, anything but a real scalar and, if ``positive``
+    (``nonnegative``), anything but a finite number > 0 (>= 0) raise ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if positive and not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        raise ValueError(f"{name} must be a finite number > 0, got {value}")
+    if nonnegative and not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     return float(value)
 
 
-def _check_gamma(gamma: float) -> float:
-    gamma = _check_real(gamma, "gamma")
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise ValueError(f"aspect ratio gamma must be positive and finite, got {gamma}")
-    return gamma
-
-
-def _check_margin(margin: float) -> float:
-    margin = _check_real(margin, "margin")
-    if not (np.isfinite(margin) and margin >= 0):
-        raise ValueError(f"margin must be finite and nonnegative, got {margin}")
-    return margin
-
-
-def _check_int(value, name: str) -> int:
-    """``value`` as an ``int``; floats, booleans and other non-integers raise ``ValueError``."""
+def _check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an ``int``; floats, booleans, other non-integers and values outside
+    ``[low, high]`` (a bound of ``None`` is open) raise ``ValueError``."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        bound = (f"in [{low}, {high}]" if high is not None
+                 else "nonnegative" if low == 0 else f">= {low}")
+        raise ValueError(f"{name}={value} must be {bound}")
+    return value
 
 
 def _expect(value, kind, name: str):
@@ -123,12 +117,12 @@ def _check_spectrum(singular_values) -> np.ndarray:
 
 def bulk_edge(gamma: float) -> float:
     """Asymptotic largest singular value of pure noise, ``1 + sqrt(gamma)``."""
-    return 1.0 + np.sqrt(_check_gamma(gamma))
+    return 1.0 + np.sqrt(_check_real(gamma, "gamma", positive=True))
 
 
 def detection_point(gamma: float) -> float:
     """Smallest population singular value that rises above the bulk, ``gamma**(1/4)``."""
-    return _check_gamma(gamma) ** 0.25
+    return _check_real(gamma, "gamma", positive=True) ** 0.25
 
 
 def forward_singular_value(t, gamma: float):
@@ -138,7 +132,7 @@ def forward_singular_value(t, gamma: float):
     point and the bulk edge ``1 + sqrt(gamma)`` below it.  Accepts scalars
     or arrays; the two branches agree at ``t = gamma**0.25``.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_real(gamma, "gamma", positive=True)
     t_arr = _check_t(t)
     t2 = t_arr**2
     above = np.sqrt((t2 + 1.0) * (1.0 + gamma / t2))
@@ -156,7 +150,7 @@ def invert_singular_value(lam, gamma: float):
     values past ``max_float**0.25 / 2`` raise :class:`DegenerateEstimateError`,
     nan and inf ``ValueError``.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_real(gamma, "gamma", positive=True)
     lam_arr = _real_array(lam, "lam")
     edge = bulk_edge(gamma)
     if np.any(lam_arr <= edge):
@@ -189,7 +183,7 @@ def cosines(t, gamma: float):
     sign convention is used throughout.  The numerators are evaluated as
     ``t**4 - gamma`` to avoid cancellation near the detection point.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _check_real(gamma, "gamma", positive=True)
     t_arr = _check_t(t)
     t2 = t_arr**2
     t4 = t2**2
@@ -213,7 +207,7 @@ def naive_rank(singular_values, gamma: float, margin: float = 0.0) -> int:
     Input must be sorted in descending order.  The margin shifts the
     threshold upward to guard against bulk-edge fluctuations at finite n.
     """
-    margin = _check_margin(margin)
+    margin = _check_real(margin, "margin", nonnegative=True)
     sv = _check_spectrum(singular_values)
     return int(np.sum(sv > bulk_edge(gamma) + margin))
 
@@ -258,17 +252,13 @@ def estimate_spike_params(singular_values, gamma: float, rank: int | None = None
     components; the asymptotic theory behind the recovery assumes strictly
     separated population values and does not cover exact ties.
     """
-    gamma = _check_gamma(gamma)
-    margin = _check_margin(margin)
+    gamma = _check_real(gamma, "gamma", positive=True)
+    margin = _check_real(margin, "margin", nonnegative=True)
     sv = _check_spectrum(singular_values)
     if rank is None:
         rank = naive_rank(sv, gamma, margin=margin)
     else:
-        rank = _check_int(rank, "rank")
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        if rank > sv.size:
-            raise ValueError(f"rank {rank} exceeds the {sv.size} singular values supplied")
+        rank = _check_int(rank, "rank", low=0, high=sv.size)
     head = sv[:rank].copy()
     t = invert_singular_value(head, gamma)
     return SpikeParams(rank, head, t, *cosines(t, gamma), gamma)

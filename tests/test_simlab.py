@@ -553,6 +553,32 @@ class TestRunner:
         assert n % (resolved["params"]["cells"]
                     * resolved["params"]["row_blocks"]) == 0
 
+    # The scaled size is a multiple of cells * blocks, so a zero count is
+    # named before it is divided by; unscaled, the replicate rejects it.
+    @pytest.mark.parametrize("key", ["cells", "row_blocks", "col_blocks"])
+    def test_zero_checkerboard_count_is_named_before_scaling(self, key, tmp_path):
+        config = {"scenario": "localized-checkerboard", "replicates": 1, "params": {key: 0}}
+        with pytest.raises(ValueError, match=f"'{key}'=0") as info:
+            resolve_config(dict(config, scale=0.5))
+        assert info.type is ValueError
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(config, params={key: 0, "n": 64})))
+        for scale in ("0.5", "1"):
+            assert cli.main(["simulate", "--config", str(path), "--scale", scale,
+                             "--output-dir", str(tmp_path / "o")]) == 5
+
+    # gamma and n_grid are named by their own message, not by omega_fraction's.
+    @pytest.mark.parametrize("params, key", [
+        ({"gamma": 0.0}, "'gamma'"), ({"gamma": -1.0}, "'gamma'"),
+        ({"n_grid": [-10]}, "'n_grid'"), ({"n_grid": [500, 0]}, "'n_grid'"),
+    ], ids=["gamma-0", "gamma-negative", "n-grid-negative", "n-grid-0"])
+    def test_weighted_inner_products_names_the_bad_param(self, params, key, monkeypatch):
+        monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
+        with pytest.raises(ValueError, match=key) as info:
+            run_experiment({"scenario": "weighted-inner-products", "replicates": 1,
+                            "params": params})
+        assert "omega_fraction" not in str(info.value)
+
     @pytest.mark.parametrize("config, calls", [
         ({"scenario": "localized-checkerboard", "replicates": 3,
           "params": {"n": 64}}, 3),
