@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +23,7 @@ import numpy as np
 
 from .. import __version__
 from ..io import _read_json
-from ..spiked import _check_int
+from ..spiked import _check_int, _check_real
 from .noise import derive_seed
 from .scenarios import SCENARIOS
 
@@ -37,28 +35,26 @@ CONFIG_SCHEMA_VERSION = 1
 _CONFIG_KEYS = ("schema", "scenario", "seed", "replicates", "scale", "params")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# A param takes its default's kind: an ``int`` default makes an integer >= 1 and a
+# ``float`` default a finite number > 0, unless its key is listed here.
+_PARAM_RULES = {"row_offset": {}, "col_offset": {}, "margin": {"nonnegative": True},
+                "t_offset": {"finite": True}}
 
 
 def _check_param(name: str, key: str, value, default) -> None:
-    """A param takes its default's kind: integers for an ``int``, finite numbers for a
-    ``float``, element-wise for a list; ``dist`` values are left to ``gen_noise``."""
+    """Apply a param's rule to ``value``, to each entry where the default is a non-empty
+    list; ``dist`` values are left to ``gen_noise``."""
+    label = f"{name} param {key!r}"
     if isinstance(default, (list, tuple)):
-        kind = next((k for k in (_is_int, _is_number) if all(map(k, default))), None)
         if (not isinstance(value, (list, tuple)) or not value
-                or (kind and not all(map(kind, value)))
                 or (isinstance(default, tuple) and len(value) != len(default))):
-            raise ValueError(f"{name} param {key!r} must be a list like {list(default)!r}, "
-                             f"got {value!r}")
-    elif _is_int(default) and not _is_int(value):
-        raise ValueError(f"{name} param {key!r} must be an integer, got {value!r}")
-    elif _is_number(default) and not _is_number(value):
-        raise ValueError(f"{name} param {key!r} must be a finite number, got {value!r}")
+            raise ValueError(f"{label} must be a list like {list(default)!r}, got {value!r}")
+        for entry in value:
+            _check_param(name, key, entry, default[0])
+    elif isinstance(default, int):
+        _check_int(value, label, **_PARAM_RULES.get(key, {"low": 1}))
+    elif isinstance(default, float):
+        _check_real(value, label, **_PARAM_RULES.get(key, {"positive": True}))
 
 
 def resolve_config(config) -> dict:
@@ -81,8 +77,8 @@ def resolve_config(config) -> dict:
     seed, replicates = config.get("seed", 0), config.get("replicates", 20)
     seed = _check_int(seed, "config 'seed'")
     replicates = _check_int(replicates, "config 'replicates'", low=1)
-    scale = config.get("scale", 1.0)
-    if not (_is_number(scale) and 0 < scale <= 1):
+    scale = _check_real(config.get("scale", 1.0), "config 'scale'", positive=True)
+    if scale > 1:
         raise ValueError(f"config 'scale' must be a number in (0, 1], got {scale!r}")
     given = config.get("params", {})
     if not isinstance(given, dict):
@@ -103,7 +99,7 @@ def resolve_config(config) -> dict:
         "scenario": name,
         "seed": seed,
         "replicates": max(1, int(round(replicates * scale))),  # a valid count may round to 0
-        "scale": float(scale),
+        "scale": scale,
         "params": params,
     }
 

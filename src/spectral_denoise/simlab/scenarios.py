@@ -22,7 +22,7 @@ from ..geometry import Partition, WeightOperator
 from ..localized import make_equispaced_partition
 from .._blas import abt, norm
 from .._svd import top_svd
-from ..spiked import _check_int, _check_real, cosines
+from ..spiked import _check_int, cosines
 from .metrics import relative_error, weighted_loss
 from .noise import derive_seed, gen_noise, make_rng
 from .signals import gen_signal, two_block_vectors
@@ -123,8 +123,6 @@ def _heteroscedastic_replicate(params: dict, seed: int) -> list[dict]:
     p, n = params["p"], params["n"]
     gamma = p / n
     t = tuple(gamma**0.25 + 0.5 + k for k in range(params["rank"]))[::-1]
-    for kappa in params["kappa_grid"]:
-        _check_real(kappa, "heteroscedastic param 'kappa_grid'", positive=True)
     out = []
     for k, kappa in enumerate(params["kappa_grid"]):
         rng = make_rng(derive_seed(seed, 2 * k))
@@ -164,8 +162,6 @@ def _missing_data_replicate(params: dict, seed: int) -> list[dict]:
     t = tuple(np.sqrt(np.sqrt(gamma) + 200.0 * k) for k in range(params["rank"], 0, -1))
     q_row = np.linspace(*params["q_row_range"], p)
     q_col = np.linspace(*params["q_col_range"], n)
-    for sigma in params["sigma_grid"]:
-        _check_real(sigma, "missing-data param 'sigma_grid'", positive=True)
     out = []
     for k, sigma in enumerate(params["sigma_grid"]):
         rng = make_rng(derive_seed(seed, 3 * k))
@@ -199,9 +195,7 @@ def _two_block_signal(p: int, n: int, gamma: float, offsets=(3.0, 2.0)):
 
 
 def _weighted_inner_products_replicate(params: dict, seed: int) -> list[dict]:
-    gamma = _check_real(params["gamma"], "weighted-inner-products param 'gamma'", positive=True)
-    for n in params["n_grid"]:
-        _check_int(n, "weighted-inner-products param 'n_grid'", low=1)
+    gamma = float(params["gamma"])
     frac = float(params["omega_fraction"])
     if not 0 < frac <= 1 or any(round(frac * round(gamma * n)) < 1
                                 for n in params["n_grid"]):
@@ -270,9 +264,7 @@ def _rank_estimation_replicate(params: dict, seed: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _scale_localized(params: dict, scale: float) -> dict:
-    cells, rows, cols = (_check_int(params[k], f"localized-checkerboard param {k!r}", low=1)
-                         for k in ("cells", "row_blocks", "col_blocks"))
-    quantum = cells * max(rows, cols)
+    quantum = params["cells"] * max(params["row_blocks"], params["col_blocks"])
     n = max(quantum, int(round(params["n"] * scale / quantum)) * quantum)
     return dict(params, n=n)
 

@@ -34,24 +34,34 @@ __all__ = [
 ]
 
 
-def _check_real(value, name: str, positive: bool = False, nonnegative: bool = False) -> float:
-    """``value`` as a ``float``; booleans, anything but a real scalar and, if ``positive``
-    (``nonnegative``), anything but a finite number > 0 (>= 0) raise ``ValueError``."""
+def _check_real(value, name: str, positive: bool = False, nonnegative: bool = False,
+                finite: bool = False) -> float:
+    """``value`` as a ``float``; booleans, anything but a real scalar, a number past the
+    float range and, if ``positive`` (``nonnegative``, ``finite``), anything but a finite
+    number > 0 (>= 0, of any sign) raise ``ValueError``.  It converts before it compares."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if positive and not 0 < value < math.inf:
+    try:
+        real = float(value)
+    except OverflowError:  # an int or a fraction past the largest float
+        raise ValueError(f"{name} must be a real number within the float range") from None
+    if positive and not 0 < real < math.inf:
         raise ValueError(f"{name} must be a finite number > 0, got {value}")
-    if nonnegative and not 0 <= value < math.inf:
+    if nonnegative and not 0 <= real < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return float(value)
+    if finite and not math.isfinite(real):
+        raise ValueError(f"{name} must be a finite number, got {value}")
+    return real
 
 
 def _check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
-    """``value`` as an ``int``; floats, booleans, other non-integers and values outside
-    ``[low, high]`` (a bound of ``None`` is open) raise ``ValueError``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
+    """``value`` as an ``int``; floats, booleans, arrays other than 0-d integer ones, other
+    non-integers and values outside ``[low, high]`` (a bound of ``None`` is open) raise
+    ``ValueError``."""
+    try:  # a bool is no integer here: operator.index(None) raises TypeError
+        value = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if (low is not None and value < low) or (high is not None and value > high):
         bound = (f"in [{low}, {high}]" if high is not None
                  else "nonnegative" if low == 0 else f">= {low}")

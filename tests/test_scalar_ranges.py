@@ -11,7 +11,7 @@ import pytest
 
 from spectral_denoise import (Partition, WeightOperator, cli, estimate_spike_params,
                               io, make_equispaced_partition, naive_rank, spectral_denoise,
-                              trace_weight)
+                              spectral_fit, trace_weight)
 from spectral_denoise._svd import svd_head_above, top_svd
 from spectral_denoise.simlab import (gen_noise, gen_signal, offset_partition, resolve_config,
                                      run_experiment, two_block_vectors)
@@ -106,7 +106,8 @@ def test_range_message_names_the_argument_and_its_range(check, message):
         check()
 
 
-# Arguments of the wrong kind that used to end in a bare AttributeError or TypeError.
+# Arguments of the wrong kind that used to end in a bare AttributeError, OverflowError or
+# TypeError.
 @pytest.mark.parametrize("call, words", [
     (lambda: gen_signal("random_orthonormal", 10, 10, t=(1.0,), rng=5),
      "random_orthonormal rng must be a Generator, got int"),
@@ -114,9 +115,25 @@ def test_range_message_names_the_argument_and_its_range(check, message):
     (lambda: io.build_report("x", {}, object()), "result.spikes"),
     (lambda: offset_partition(10, 2, "a"), "offset must be an integer, got 'a'"),
     (lambda: offset_partition(10, 2, 1.0), "offset must be an integer, got 1.0"),
-], ids=["rng-int", "report-none", "report-object", "offset-text", "offset-float"])
+    (lambda: _check_real(10**400, "t"), "t must be a real number within the float range"),
+    (lambda: _check_real(10**400, "gamma", positive=True),
+     "gamma must be a real number within the float range"),
+    (lambda: bulk_edge(10**400), "gamma must be a real number within the float range"),
+    (lambda: spectral_fit(_Y, margin=10**400), "margin must be a real number within"),
+    (lambda: _check_int(np.array(1.0), "rank"), "rank must be an integer, got array(1.)"),
+    (lambda: _check_int(np.array([1]), "rank"), "rank must be an integer, got array([1])"),
+    (lambda: spectral_fit(_Y, rank=np.array(1.0)), "rank must be an integer, got array(1.)"),
+], ids=["rng-int", "report-none", "report-object", "offset-text", "offset-float",
+        "real-past-float-range", "positive-past-float-range", "bulk-edge-past-float-range",
+        "fit-margin-past-float-range", "int-0d-float-array", "int-1d-array",
+        "fit-rank-0d-float-array"])
 def test_wrong_kind_is_a_domain_error(call, words):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is ValueError
     assert words in str(info.value)
+
+
+def test_zero_d_integer_array_is_an_integer():
+    value = _check_int(np.array(3), "k", low=0)
+    assert value == 3 and type(value) is int

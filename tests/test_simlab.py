@@ -511,8 +511,19 @@ class TestRunner:
         # n = 500 gives p = 1000 rows, and round(0.0004 * 1000) == 0
         ({"scenario": "weighted-inner-products", "params": {"omega_fraction": 0.0004}},
          "omega_fraction"),
+        # A size is checked before scale clamps it up to 4 or 8.
+        ({"scenario": "submatrix", "scale": 0.5, "params": {"p": -5}}, "'p'"),
+        ({"scenario": "weighted-inner-products", "scale": 0.5, "params": {"n_grid": [-10]}},
+         "n_grid"),
+        ({"scenario": "localized-checkerboard", "params": {"row_blocks": 0, "n": 64}},
+         "row_blocks"),
+        ({"scenario": "heteroscedastic", "params": {"rank": 0}}, "'rank'"),
+        ({"scenario": "missing-data", "params": {"rank": 0}}, "'rank'"),
+        ({"scenario": "submatrix", "params": {"t_offset": 10**400}}, "t_offset"),
     ], ids=["scale-1.5", "scale-1e300", "kappa-0", "kappa-negative", "sigma-negative",
-            "sigma-0", "omega-0", "omega-keeps-no-row"])
+            "sigma-0", "omega-0", "omega-keeps-no-row", "p-negative-scaled",
+            "n-grid-negative-scaled", "row-blocks-0", "heteroscedastic-rank-0",
+            "missing-data-rank-0", "t-offset-past-float-range"])
     def test_out_of_range_value_is_named_before_any_draw(self, config, key, tmp_path,
                                                          monkeypatch):
         def no_draw(*args, **kwargs):
