@@ -25,9 +25,9 @@ from .errors import DegenerateEstimateError
 from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
-from .spiked import (SpikeParams, bulk_edge, cosines, detection_point, estimate_spike_params,
-                     forward_singular_value, _check_int, _check_real, _expect,
-                     _real_array)
+from .spiked import (SpikeParams, bulk_edge, cosines, estimate_spike_params,
+                     forward_singular_value, _check_int, _check_real, _check_t, _detectable,
+                     _expect, _real_array)
 
 __all__ = [
     "SpectralFit",
@@ -402,28 +402,18 @@ def check_shrinkage_properties(gamma: float, alpha: float, beta: float,
     """
     alpha, beta, mu, nu = (_check_real(v, name, positive=True) for v, name in
                            zip((alpha, beta, mu, nu), ("alpha", "beta", "mu", "nu")))
-    t = _real_array(t_grid, "t_grid", ndim=1)
+    t, gamma = _check_t(_real_array(t_grid, "t_grid", ndim=1), gamma, "t_grid")
     if t.size == 0:
         raise ValueError("t_grid must be nonempty")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if np.any(t <= detection_point(gamma)):
+    if not np.all(_detectable(t, gamma)):
         raise ValueError("t_grid must lie above the detection point gamma**0.25")
-
-    lam = np.asarray(forward_singular_value(t, gamma))
+    lam = forward_singular_value(t, gamma)
     denoised = _diagonal_map(t, cosines(t, gamma), alpha, beta, mu, nu)[0]
-
     tol = 1e-12
-    shrinks = denoised <= lam + tol
-    steps = np.diff(denoised)
-    nondec = steps >= -tol
-    return ShrinkageReport(
-        t_grid=t,
-        observed=lam,
-        denoised=denoised,
-        shrinks=shrinks,
-        nondecreasing=nondec,
-        hypothesis_holds=(alpha <= mu or beta <= nu),
-        shrinkage_violations=tuple(np.nonzero(~shrinks)[0].tolist()),
-        monotonicity_violations=tuple(np.nonzero(~nondec)[0].tolist()),
-    )
+    shrinks, nondec = denoised <= lam + tol, np.diff(denoised) >= -tol
+    return ShrinkageReport(t_grid=t, observed=lam, denoised=denoised, shrinks=shrinks,
+                           nondecreasing=nondec, hypothesis_holds=alpha <= mu or beta <= nu,
+                           shrinkage_violations=tuple(np.flatnonzero(~shrinks).tolist()),
+                           monotonicity_violations=tuple(np.flatnonzero(~nondec).tolist()))

@@ -38,11 +38,12 @@ def splitmix64(x: int) -> int:
 
 def derive_seed(base: int, index: int) -> int:
     """Seed for replicate ``index``: ``splitmix64(base + index)``."""
-    return splitmix64((_check_int(base, "seed") + _check_int(index, "index")) & _MASK64)
+    seed = _check_int(base, "seed", high=None) + _check_int(index, "index", high=None)
+    return splitmix64(seed & _MASK64)
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_check_int(seed, "seed") & _MASK64))
+    return np.random.Generator(np.random.Philox(key=_check_int(seed, "seed", high=None) & _MASK64))
 
 
 def gen_noise(dist, p: int, n: int, seed: int = 0, scale: float | None = None) -> np.ndarray:

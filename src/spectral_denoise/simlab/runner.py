@@ -35,10 +35,10 @@ CONFIG_SCHEMA_VERSION = 1
 _CONFIG_KEYS = ("schema", "scenario", "seed", "replicates", "scale", "params")
 
 
-# A param takes its default's kind: an ``int`` default makes an integer >= 1 and a
-# ``float`` default a finite number > 0, unless its key is listed here.
-_PARAM_RULES = {"row_offset": {}, "col_offset": {}, "margin": {"nonnegative": True},
-                "t_offset": {"finite": True}}
+# A param takes its default's kind: an ``int`` default makes an integer in [1, largest
+# intp] and a ``float`` default a finite number > 0, unless its key is listed here.
+_PARAM_RULES = {"row_offset": {"high": None}, "col_offset": {"high": None},
+                "margin": {"nonnegative": True}, "t_offset": {"finite": True}}
 
 
 def _check_param(name: str, key: str, value, default) -> None:
@@ -75,7 +75,7 @@ def resolve_config(config) -> dict:
         raise ValueError(f"unknown scenario {name!r}; expected one of "
                          f"{sorted(SCENARIOS)}")
     seed, replicates = config.get("seed", 0), config.get("replicates", 20)
-    seed = _check_int(seed, "config 'seed'")
+    seed = _check_int(seed, "config 'seed'", high=None)
     replicates = _check_int(replicates, "config 'replicates'", low=1)
     scale = _check_real(config.get("scale", 1.0), "config 'scale'", positive=True)
     if scale > 1:
@@ -144,7 +144,7 @@ class ExperimentReport:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
             for row in self.rows:
-                writer.writerow([_format_cell(row.get(c)) for c in self.columns])
+                writer.writerow([row.get(c) for c in self.columns])
 
     def group_metrics(self, **group) -> dict:
         """Aggregate metrics for the grid point matching ``group`` exactly."""
@@ -152,16 +152,6 @@ class ExperimentReport:
             if entry["group"] == group:
                 return entry["metrics"]
         raise KeyError(f"no aggregate for group {group!r}")
-
-
-def _format_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return value
 
 
 def _aggregate(rows: list[dict], group_keys: list[str], columns: list[str]) -> list[dict]:

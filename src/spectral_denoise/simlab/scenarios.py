@@ -37,8 +37,8 @@ def offset_partition(dim: int, num_blocks: int, offset: int) -> Partition:
     cell misalignment is exercised.
     """
     base = make_equispaced_partition(dim, num_blocks)
-    offset = _check_int(offset, "offset")
-    if offset % dim == 0:
+    offset = _check_int(offset, "offset", high=None) % dim
+    if offset == 0:
         return base
     rolled = [(np.sort((b + offset) % dim)) for b in base.blocks]
     return Partition(dim, tuple(rolled))

@@ -33,6 +33,11 @@ __all__ = [
     "estimate_spike_params",
 ]
 
+_MAX_INTP = int(np.iinfo(np.intp).max)  # the default upper bound of ``_check_int``
+#: Largest ``t``, ``lam`` and ``gamma`` the spiked-model maps take: ``t**4``,
+#: ``lam**4`` and ``gamma * t**2`` stay finite up to it.
+_MAP_MAX = float(np.finfo(float).max ** 0.25 / 2)
+
 
 def _check_real(value, name: str, positive: bool = False, nonnegative: bool = False,
                 finite: bool = False) -> float:
@@ -54,17 +59,18 @@ def _check_real(value, name: str, positive: bool = False, nonnegative: bool = Fa
     return real
 
 
-def _check_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+def _check_int(value, name: str, low: int | None = None, high: int | None = _MAX_INTP) -> int:
     """``value`` as an ``int``; floats, booleans, arrays other than 0-d integer ones, other
-    non-integers and values outside ``[low, high]`` (a bound of ``None`` is open) raise
-    ``ValueError``."""
+    non-integers and values outside ``[low, high]`` raise ``ValueError``.  ``low=None`` is
+    open; ``high`` defaults to the largest ``intp``, and ``None`` (seeds, offsets) is open."""
     try:  # a bool is no integer here: operator.index(None) raises TypeError
         value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if (low is not None and value < low) or (high is not None and value > high):
-        bound = (f"in [{low}, {high}]" if high is not None
-                 else "nonnegative" if low == 0 else f">= {low}")
+    too_high = high is not None and value > high
+    if too_high or (low is not None and value < low):
+        bound = (f"in [{low}, {high}]" if low is not None and high not in (None, _MAX_INTP)
+                 else f"<= {high}" if too_high else "nonnegative" if low == 0 else f">= {low}")
         raise ValueError(f"{name}={value} must be {bound}")
     return value
 
@@ -100,7 +106,7 @@ def _real_array(values, name: str, ndim: int | None = None, finite: bool = True)
             raise TypeError(f"could not convert text of dtype {arr.dtype} to float")
         if not np.iscomplexobj(arr):
             arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:  # text, a dict, a ragged list
+    except (TypeError, ValueError, OverflowError) as exc:  # text, a dict, a ragged list, 10**400
         raise ValueError(f"{name} must hold numbers: {exc}") from None
     if arr.dtype != float:
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
@@ -111,11 +117,27 @@ def _real_array(values, name: str, ndim: int | None = None, finite: bool = True)
     return arr
 
 
-def _check_t(t) -> np.ndarray:
-    t_arr = _real_array(t, "population singular value t")
+def _check_t(t, gamma, name: str = "population singular value t"):
+    """``(t, gamma)`` of a map that squares ``t``: a float array and a float, both in
+    ``(0, _MAP_MAX]``; anything else raises ``ValueError`` naming it."""
+    gamma = _check_real(gamma, "gamma", positive=True)
+    t_arr = _real_array(t, name)
     if np.any(t_arr <= 0):
-        raise ValueError("population singular value t must be positive")
-    return t_arr
+        raise ValueError(f"{name} must be positive")
+    for label, largest in (("gamma", gamma), (name, t_arr.max(initial=0.0))):
+        if largest > _MAP_MAX:
+            raise ValueError(f"{label} must be at most {_MAP_MAX:.6g}, got {largest:.6g}")
+    return t_arr, gamma
+
+
+def _detectable(t: np.ndarray, gamma: float) -> np.ndarray:
+    """Whether each ``t`` is above the detection point; the branch's ``t**4 - gamma`` is > 0."""
+    return (t * t)**2 > gamma
+
+
+def _as_given(values: np.ndarray):
+    """A map's result as a ``float`` for a scalar or 0-d input, else as the array."""
+    return float(values) if values.ndim == 0 else values
 
 
 def _check_spectrum(singular_values) -> np.ndarray:
@@ -139,15 +161,17 @@ def forward_singular_value(t, gamma: float):
     """Observed singular value produced by a population singular value ``t``.
 
     Returns ``sqrt((t**2 + 1) * (1 + gamma / t**2))`` above the detection
-    point and the bulk edge ``1 + sqrt(gamma)`` below it.  Accepts scalars
-    or arrays; the two branches agree at ``t = gamma**0.25``.
+    point (where ``t**4 > gamma``) and the bulk edge ``1 + sqrt(gamma)``
+    below it; the two branches agree at ``t = gamma**0.25``.  Accepts
+    scalars or arrays; ``t`` and ``gamma`` past ``max_float**0.25 / 2``
+    raise ``ValueError``.
     """
-    gamma = _check_real(gamma, "gamma", positive=True)
-    t_arr = _check_t(t)
-    t2 = t_arr**2
-    above = np.sqrt((t2 + 1.0) * (1.0 + gamma / t2))
-    lam = np.where(t_arr > detection_point(gamma), above, bulk_edge(gamma))
-    return float(lam) if np.isscalar(t) or t_arr.ndim == 0 else lam
+    t_arr, gamma = _check_t(t, gamma)
+    lam = np.full(t_arr.shape, bulk_edge(gamma))
+    on = _detectable(t_arr, gamma)
+    t2 = t_arr[on]**2
+    lam[on] = np.sqrt((t2 + 1.0) * (1.0 + gamma / t2))
+    return _as_given(lam)
 
 
 def invert_singular_value(lam, gamma: float):
@@ -171,12 +195,12 @@ def invert_singular_value(lam, gamma: float):
             f"the bulk edge {edge:.6g}",
             index=k if lam_arr.ndim else None,
         )
-    if np.any(lam_arr > np.finfo(float).max ** 0.25 / 2):  # m**2 and t**4 would overflow
+    if np.any(lam_arr > _MAP_MAX):  # m**2 and t**4 would overflow
         raise DegenerateEstimateError(
             f"singular value {lam_arr.max():.6g} is too large for the spiked-model maps")
-    m = lam_arr**2 - 1.0 - gamma
+    m = lam_arr.ravel()**2 - 1.0 - gamma  # 1-D: a scalar takes the array arithmetic
     t = np.sqrt((m + np.sqrt(m**2 - 4.0 * gamma)) / 2.0)
-    return float(t) if np.isscalar(lam) or lam_arr.ndim == 0 else t
+    return _as_given(t.reshape(lam_arr.shape))
 
 
 def cosines(t, gamma: float):
@@ -188,27 +212,21 @@ def cosines(t, gamma: float):
         c**2 = (t**4 - gamma) / (t**4 + gamma * t**2)   (left vectors)
         c_tilde**2 = (t**4 - gamma) / (t**4 + t**2)     (right vectors)
 
-    and both are 0 below it.  Returns ``(c, c_tilde, s, s_tilde)`` with
-    ``s = sqrt(1 - c**2)``; all values lie in [0, 1] and the non-negative
-    sign convention is used throughout.  The numerators are evaluated as
-    ``t**4 - gamma`` to avoid cancellation near the detection point.
+    and both are 0 below it, where ``t**4 <= gamma``.  Returns ``(c,
+    c_tilde, s, s_tilde)`` with ``s = sqrt(1 - c**2)``; all values lie in
+    [0, 1] and the non-negative sign convention is used throughout.  The
+    numerators are evaluated as ``t**4 - gamma`` to avoid cancellation near
+    the detection point.  ``t`` and ``gamma`` past ``max_float**0.25 / 2``
+    raise ``ValueError``.
     """
-    gamma = _check_real(gamma, "gamma", positive=True)
-    t_arr = _check_t(t)
-    t2 = t_arr**2
+    t_arr, gamma = _check_t(t, gamma)
+    c2, ct2 = np.zeros(t_arr.shape), np.zeros(t_arr.shape)
+    on = _detectable(t_arr, gamma)
+    t2 = t_arr[on]**2
     t4 = t2**2
-    num = np.maximum(t4 - gamma, 0.0)
-    c2 = np.where(t4 > gamma, num / (t4 + gamma * t2), 0.0)
-    ct2 = np.where(t4 > gamma, num / (t4 + t2), 0.0)
-    c2 = np.clip(c2, 0.0, 1.0)
-    ct2 = np.clip(ct2, 0.0, 1.0)
-    c = np.sqrt(c2)
-    ct = np.sqrt(ct2)
-    s = np.sqrt(1.0 - c2)
-    st = np.sqrt(1.0 - ct2)
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(c), float(ct), float(s), float(st)
-    return c, ct, s, st
+    c2[on] = (t4 - gamma) / (t4 + gamma * t2)
+    ct2[on] = (t4 - gamma) / (t4 + t2)
+    return tuple(_as_given(np.sqrt(v)) for v in (c2, ct2, 1.0 - c2, 1.0 - ct2))
 
 
 def naive_rank(singular_values, gamma: float, margin: float = 0.0) -> int:

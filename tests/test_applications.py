@@ -133,6 +133,17 @@ class TestWhiten:
         with pytest.raises(ValueError, match="col covariance must have finite entries"):
             NoiseCovariances(np.ones(3), m)
 
+    @pytest.mark.parametrize("bad, words", [
+        (np.ones((2, 3)), "must be a vector or a square matrix"),
+        (np.ones((2, 2, 2)), "must be a vector or a square matrix"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "must be symmetric"),
+    ], ids=["not-square", "3-d", "not-symmetric"])
+    def test_rejects_malformed_dense_covariance(self, bad, words):
+        with pytest.raises(ValueError, match=f"row covariance {words}"):
+            NoiseCovariances(bad, np.ones(3))
+        with pytest.raises(ValueError, match=f"col covariance {words}"):
+            NoiseCovariances(np.ones(3), bad)
+
     @pytest.mark.parametrize("empty", [np.ones(0), np.ones((0, 0))],
                              ids=["vector", "matrix"])
     def test_rejects_empty_side(self, empty):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
-                              DimensionMismatchError, SamplingPattern, SpectralDenoiseError, cli,
-                              io, missing_data_denoise, shrink_submatrix_baseline)
+                              DimensionMismatchError, NoiseCovariances, SamplingPattern,
+                              SpectralDenoiseError, cli, io, missing_data_denoise,
+                              shrink_submatrix_baseline, spectral_denoise, whiten_denoise)
 from spectral_denoise.simlab import gen_noise, gen_signal
 
 
@@ -315,6 +316,23 @@ class TestDenoiseCommands:
                          "--row-weight-diag", str(diag),
                          "--output", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_dense_weight_file_matches_the_library(self, tmp_path, spiked_csv, side):
+        path, Y, sig = spiked_csv
+        dim = Y.shape[0] if side == "row" else Y.shape[1]
+        W = np.random.default_rng(8).standard_normal((dim // 2, dim))
+        io.write_dense_csv(tmp_path / "W.csv", W)
+        out = tmp_path / "x.csv"
+        assert cli.main(["denoise", "--input", str(path), f"--{side}-weights",
+                         str(tmp_path / "W.csv"), "--output", str(out)]) == 0
+        weights = {"omega": W} if side == "row" else {"pi": W}
+        want = spectral_denoise(io.read_dense_csv(path), **weights).estimate
+        np.testing.assert_array_equal(io.read_dense_csv(out), want)
+        # A dense weight of the wrong width is a dimension mismatch.
+        io.write_dense_csv(tmp_path / "W.csv", W[:, 1:])
+        assert cli.main(["denoise", "--input", str(path), f"--{side}-weights",
+                         str(tmp_path / "W.csv"), "--output", str(out)]) == 3
+
 
 class TestLocalizedCommand:
     def test_blocks_and_partition_file_agree(self, tmp_path, spiked_csv):
@@ -393,6 +411,23 @@ class TestWhitenCommand:
         assert cli.main(["whiten", "--input", str(y_path),
                          "--output", str(tmp_path / "c.csv")]) == 5
 
+    def test_dense_covariance_files_match_the_library(self, tmp_path):
+        rng = np.random.default_rng(24)
+        p, n = 60, 90
+        S = np.cov(rng.standard_normal((p, 3 * p))) + np.eye(p)
+        T = np.diag(np.linspace(0.5, 1.0, n))
+        Y = gen_signal("random_orthonormal", p, n, t=(5.0,), rng=rng).X
+        Y += gen_noise("gaussian", p, n, seed=3)
+        for name, m in (("Y", Y), ("S", S), ("T", T)):
+            io.write_dense_csv(tmp_path / f"{name}.csv", m)
+        assert cli.main(["whiten", "--input", str(tmp_path / "Y.csv"),
+                         "--cov-s", str(tmp_path / "S.csv"), "--cov-t", str(tmp_path / "T.csv"),
+                         "--output", str(tmp_path / "x.csv")]) == 0
+        cov = NoiseCovariances(io.read_dense_csv(tmp_path / "S.csv"),
+                               io.read_dense_csv(tmp_path / "T.csv"))
+        want = whiten_denoise(io.read_dense_csv(tmp_path / "Y.csv"), cov).estimate
+        np.testing.assert_array_equal(io.read_dense_csv(tmp_path / "x.csv"), want)
+
 
 class TestCompleteCommand:
     def _write_inputs(self, tmp_path, fmt):
@@ -433,6 +468,19 @@ class TestCompleteCommand:
         report = json.loads((tmp_path / "r.json").read_text())
         assert report["rank"] >= 1
         assert report["observed_entries"] > 0
+
+    @pytest.mark.parametrize("flag", ["--q-row", "--q-col"])
+    def test_probability_file_that_is_not_a_vector_exits_2(self, tmp_path, capsys, flag):
+        self._write_inputs(tmp_path, "coordinate")
+        io.write_dense_csv(tmp_path / "q.csv", np.full((2, 3), 0.9))
+        files = {"--q-row": tmp_path / "qr.csv", "--q-col": tmp_path / "qc.csv",
+                 flag: tmp_path / "q.csv"}
+        argv = ["complete", "--input", str(tmp_path / "obs.csv"),
+                "--output", str(tmp_path / "x.csv")]
+        for option, file in files.items():
+            argv += [option, str(file)]
+        assert cli.main(argv) == 2
+        assert "expected a vector, got shape (2, 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sd", ["inf", "nan", "0", "-1"])
     def test_noise_sd_must_be_finite_and_positive(self, tmp_path, capsys, sd):

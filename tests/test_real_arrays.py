@@ -113,6 +113,10 @@ def _bad(kind, good):
         return {}
     if kind == "text":
         return good.astype(str)
+    if kind == "past-float-range":  # an int no float can hold
+        bad = good.astype(object)
+        bad.flat[0] = 10**400
+        return bad
     bad = good.copy()
     bad.flat[0] = np.nan
     return bad
@@ -121,7 +125,8 @@ def _bad(kind, good):
 @pytest.mark.parametrize("call, good, name, kind", [
     pytest.param(call, good, name, kind, id=f"{label}-{kind}")
     for label, call, good, name, finite in ARGUMENTS
-    for kind in ("complex-array", "complex-list", "dict", "text") + (("nan",) if finite else ())
+    for kind in ("complex-array", "complex-list", "dict", "text", "past-float-range")
+    + (("nan",) if finite else ())
 ])
 def test_argument_that_is_not_a_real_array_is_a_value_error_naming_it(call, good, name, kind):
     call(good)  # the real value is accepted
@@ -243,6 +248,7 @@ def test_real_array_rule_and_wording():
                          (np.array([1.0, "2"], dtype=object), "x must hold numbers: could not "
                                                               "convert text of dtype object"),
                          ([1.0, b"2"], "x must hold numbers: could not convert text"),
+                         ([[10**400, 1.0]], "x must hold numbers: int too large to convert"),
                          ([[1.0], [1.0, 2.0]], "x must hold numbers: "),
                          (x[0], "x must be 2-D, got 1-D"),
                          ([1.0, np.inf], "x must have finite entries")):

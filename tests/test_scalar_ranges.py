@@ -73,6 +73,11 @@ SITES = {
                    0.0, [1.0]),
     "sigma-grid": (lambda v: _simulate("missing-data", sigma_grid=[v]), "sigma_grid", 0.0,
                    [0.25]),
+    # A size past the largest intp: numpy could not index it.
+    "noise-n-past-intp": (lambda v: gen_noise("gaussian", 5, v), "noise n", 2**64, []),
+    "partition-dim-past-intp": (lambda v: make_equispaced_partition(v, 2), "dim=", 2**64, []),
+    "index-weight-dim-past-intp": (lambda v: WeightOperator.from_indices([0], v), "weight dim",
+                                   2**70, [1]),
 }
 
 
@@ -100,7 +105,10 @@ def test_boundary_value_is_accepted(site, value):
      "margin must be finite and nonnegative, got -0.5"),
     (lambda: _check_real(np.inf, "gamma", positive=True),
      "gamma must be a finite number > 0, got inf"),
-], ids=["low-0", "low-2", "closed-above", "closed-below", "real-nonnegative", "real-positive"])
+    (lambda: _check_int(2**63, "k", low=0),
+     "k=9223372036854775808 must be <= 9223372036854775807"),
+], ids=["low-0", "low-2", "closed-above", "closed-below", "real-nonnegative", "real-positive",
+        "past-intp"])
 def test_range_message_names_the_argument_and_its_range(check, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check()

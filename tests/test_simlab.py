@@ -382,6 +382,12 @@ class TestOffsetPartition:
         flat = sorted(i for b in part.blocks for i in b.tolist())
         assert flat == list(range(8))
 
+    @pytest.mark.parametrize("offset", [2**64, -2**64, 10**400])
+    def test_offset_of_any_size_acts_as_its_remainder(self, offset):
+        part = offset_partition(10, 2, offset)
+        want = offset_partition(10, 2, offset % 10)
+        assert [b.tolist() for b in part.blocks] == [b.tolist() for b in want.blocks]
+
 
 class TestRunner:
     CONFIG = {"schema": 1, "scenario": "rank-estimation", "seed": 11,
@@ -520,10 +526,13 @@ class TestRunner:
         ({"scenario": "heteroscedastic", "params": {"rank": 0}}, "'rank'"),
         ({"scenario": "missing-data", "params": {"rank": 0}}, "'rank'"),
         ({"scenario": "submatrix", "params": {"t_offset": 10**400}}, "t_offset"),
+        ({"scenario": "submatrix", "params": {"p": 10**400}}, "'p'"),
+        ({"scenario": "submatrix", "scale": 0.5, "params": {"n": 2**63}}, "'n'"),
     ], ids=["scale-1.5", "scale-1e300", "kappa-0", "kappa-negative", "sigma-negative",
             "sigma-0", "omega-0", "omega-keeps-no-row", "p-negative-scaled",
             "n-grid-negative-scaled", "row-blocks-0", "heteroscedastic-rank-0",
-            "missing-data-rank-0", "t-offset-past-float-range"])
+            "missing-data-rank-0", "t-offset-past-float-range", "p-past-float-range",
+            "n-past-intp-scaled"])
     def test_out_of_range_value_is_named_before_any_draw(self, config, key, tmp_path,
                                                          monkeypatch):
         def no_draw(*args, **kwargs):

@@ -1,12 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
-                              bulk_edge, cosines, detection_point, estimate_spike_params,
-                              forward_singular_value, invert_singular_value,
-                              naive_rank, spectral_fit)
+                              bulk_edge, check_shrinkage_properties, cosines, detection_point,
+                              estimate_spike_params, forward_singular_value,
+                              invert_singular_value, naive_rank, spectral_fit)
 
 GAMMAS = [0.1, 0.5, 1.0, 2.0, 4.0]
 
@@ -211,3 +214,66 @@ def test_wrong_kind_scalar_is_a_domain_error(call, name):
     with pytest.raises(ValueError, match=f"{name} must be a real number") as info:
         call()
     assert info.type is ValueError
+
+
+# Float extremes of the maps' arguments, alone and beside a valid entry: each call
+# returns a finite answer or raises a ValueError naming the argument, never a warning.
+EXTREMES = [5e-324, 1e-300, 1e-150, 1e150, 1e200, 1e308]
+
+
+def _beside(x, valid=3.0):
+    """``x`` beside a valid entry, in increasing order."""
+    return sorted([x, valid])
+
+
+def _shrinkage(gamma, t_grid):
+    rep = check_shrinkage_properties(gamma, 1.0, 1.0, 1.0, 1.0, t_grid)
+    return rep.observed, rep.denoised
+
+
+MAP_CALLS = {
+    "forward-t": (lambda x: forward_singular_value(x, 0.5), "population singular value t"),
+    "forward-t-beside": (lambda x: forward_singular_value(_beside(x), 0.5),
+                         "population singular value t"),
+    "forward-gamma": (lambda x: forward_singular_value([0.5, 3.0], x), "gamma"),
+    "cosines-t": (lambda x: cosines(x, 0.5), "population singular value t"),
+    "cosines-t-beside": (lambda x: cosines(_beside(x), 0.5), "population singular value t"),
+    "cosines-gamma": (lambda x: cosines([0.5, 3.0], x), "gamma"),
+    "invert-lam": (lambda x: invert_singular_value(x, 0.5), "singular value"),
+    "invert-lam-beside": (lambda x: invert_singular_value(_beside(x), 0.5), "singular value"),
+    # Past gamma = 5.8e76 the bulk edge rises past every value the inverse takes.
+    "invert-gamma": (lambda x: invert_singular_value(3.0, x), "singular value"),
+    "bulk-edge": (bulk_edge, "gamma"),
+    "shrinkage-t": (lambda x: _shrinkage(5e-324, [x]), "t_grid"),
+    "shrinkage-t-beside": (lambda x: _shrinkage(0.5, _beside(x)), "t_grid"),
+    "shrinkage-gamma": (lambda x: _shrinkage(x, [2.0, 3.0]), "gamma"),
+}
+
+
+@pytest.mark.parametrize("x", EXTREMES)
+@pytest.mark.parametrize("site", sorted(MAP_CALLS))
+def test_extreme_argument_gives_a_finite_answer_or_a_named_error(site, x):
+    call, name = MAP_CALLS[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(x)
+        except ValueError as exc:
+            assert re.search(name, str(exc)), str(exc)
+            return
+    assert np.all(np.isfinite(np.asarray(result, dtype=float)))
+
+
+def test_scalar_call_gives_the_bits_of_a_one_entry_array():
+    rng = np.random.default_rng(0)
+    for gamma in rng.uniform(0.01, 20.0, 100):
+        for t in gamma**0.25 * np.exp(np.linspace(-1.0, 3.0, 50)):
+            lam = forward_singular_value(t, gamma)
+            pairs = [(lam, forward_singular_value(np.array([t]), gamma)),
+                     *zip(cosines(t, gamma), cosines(np.array([t]), gamma))]
+            if lam > bulk_edge(gamma):
+                pairs.append((invert_singular_value(lam, gamma),
+                              invert_singular_value(np.array([lam]), gamma)))
+            for scalar, array in pairs:
+                assert type(scalar) is float
+                assert np.float64(scalar).tobytes() == array.tobytes(), (gamma, t)

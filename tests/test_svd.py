@@ -136,6 +136,16 @@ def test_forced_rank_matches_dense_svd(shape, solver):
     assert_triplets(Y, U, s, V)
 
 
+def test_forced_rank_past_the_krylov_block_takes_dsyevr(solver):
+    k = _svd._BLOCK + 1
+    Y = spiked(np.random.default_rng(12), *WIDE)
+    U, s, V, spectrum = top_svd(Y, k)
+    assert solver == {"krylov": 0, "certificate": 0, "dsyevr": 1}
+    assert U.shape == (WIDE[0], k) and V.shape == (WIDE[1], k)
+    np.testing.assert_array_equal(spectrum, s)
+    assert_triplets(Y, U, s, V)
+
+
 def test_rank_zero(solver):
     rng = np.random.default_rng(3)
     for Y in (rng.standard_normal((80, 200)) / np.sqrt(200), np.zeros((80, 200))):
@@ -226,7 +236,7 @@ def test_memory_layout_does_not_change_bytes(shape):
             assert x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(60, 100), (100, 60)])
+@pytest.mark.parametrize("shape", [(60, 100), (100, 60), WIDE])
 def test_huge_spike_takes_dense_fallback(shape):
     p, n = shape
     Y = spiked(np.random.default_rng(7), p, n, t=(1e6, 4.0))
