@@ -48,7 +48,7 @@ from scipy.linalg.blas import dgemm, dsymm, dsyrk
 from scipy.linalg.lapack import dpotrf
 
 from ._blas import one_thread
-from .spiked import _check_int, _check_real
+from .errors import _check_int, _check_real
 
 #: Largest ``eps * min(p, n) * s_1**2`` the Gram path accepts, relative
 #: to the smallest square it must resolve.  Also the relative margin

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.linalg import eigh
 
 from ._blas import abt
-from .denoise import PipelineResult, _as_matrix, spectral_denoise, spectral_fit, svs_shrink
-from .errors import DegenerateEstimateError, DimensionMismatchError
+from .denoise import PipelineResult, spectral_denoise, spectral_fit, svs_shrink
+from .errors import (DegenerateEstimateError, DimensionMismatchError, _as_mask, _as_matrix,
+                     _expect, _index_set, _real_array)
 from .geometry import WeightOperator, as_weight_operator
-from .spiked import _expect, _index_set, _real_array
 
 __all__ = [
     "PipelineResult",
@@ -37,15 +37,6 @@ __all__ = [
 
 #: Floor applied to estimated noise variances so the whitening transforms exist.
 VARIANCE_FLOOR = 1e-12
-
-
-def _as_mask(mask) -> np.ndarray:
-    """``mask`` as booleans; it must hold booleans, or numbers that are all 0 or 1."""
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
-        mask = _real_array(mask, "mask", finite=False)
-        if not np.all((mask == 0) | (mask == 1)):  # NaN fails both comparisons
-            raise ValueError("mask must hold booleans, or numbers that are all 0 or 1")
-    return mask.astype(bool, copy=False)
 
 
 def submatrix_denoise(Y, row_idx, col_idx, rank: int | None = None,
@@ -252,7 +243,7 @@ class SamplingPattern:
     @classmethod
     def from_dense(cls, full, mask, q_row, q_col) -> "SamplingPattern":
         full, mask = _real_array(full, "full", finite=False), _as_mask(mask)
-        shape = (np.size(q_row), np.size(q_col))
+        shape = cls(q_row, q_col, [], [], []).shape  # an empty pattern checks q_row, q_col
         if not full.shape == mask.shape == shape:
             raise DimensionMismatchError(f"matrix {full.shape} and mask {mask.shape} must "
                                          f"match the probability vectors {shape}")

@@ -26,11 +26,10 @@ from .applications import (NoiseCovariances, SamplingPattern,
                            whiten_denoise)
 from .denoise import spectral_denoise
 from .errors import (BelowDetectionThresholdError, DimensionMismatchError,
-                     SpectralDenoiseError)
+                     SpectralDenoiseError, _check_real)
 from .geometry import Partition, WeightOperator
 from .localized import localized_denoise, make_equispaced_partition
 from .simlab import run_experiment
-from .spiked import _check_real
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1

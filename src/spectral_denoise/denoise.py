@@ -21,13 +21,13 @@ import numpy as np
 
 from ._blas import abt
 from ._svd import svd_head_above, top_svd
-from .errors import DegenerateEstimateError
+from .errors import (DegenerateEstimateError, _as_matrix, _check_int, _check_real, _expect,
+                     _real_array)
 from .geometry import (WeightedGeometry, WeightOperator, as_partition, as_weight_operator,
                        recover_population_geometry, trace_weight, weighted_gram,
                        _check_cosines, _recover_side)
 from .spiked import (SpikeParams, bulk_edge, cosines, estimate_spike_params,
-                     forward_singular_value, _check_int, _check_real, _check_t, _detectable,
-                     _expect, _real_array)
+                     forward_singular_value, _check_t, _detectable)
 
 __all__ = [
     "SpectralFit",
@@ -193,14 +193,6 @@ def _clamp_amse(raw):
 def amse_estimate(geom: WeightedGeometry) -> float:
     """Plug-in asymptotic weighted MSE of the optimal spectral denoiser, clamped at 0."""
     return float(_clamp_amse(_amse_raw(geom))[0])
-
-
-def _as_matrix(Y) -> np.ndarray:
-    """``Y`` as a float array, checked to be a non-empty matrix of finite entries."""
-    Y = _real_array(Y, "Y", ndim=2)
-    if Y.size == 0:
-        raise DegenerateEstimateError(f"Y is empty (shape {Y.shape[0]}x{Y.shape[1]})")
-    return Y
 
 
 def _detect_and_estimate(Y: np.ndarray, rank: int | None, margin: float):

@@ -21,8 +21,9 @@ import numpy as np
 
 from . import io
 from ._blas import abt
-from .errors import DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError
-from .spiked import SpikeParams, _check_int, _check_real, _expect, _index_set, _real_array
+from .errors import (DegenerateEstimateError, DimensionMismatchError, IllConditionedRecoveryError,
+                     _check_int, _check_real, _expect, _index_set, _real_array, _shown)
+from .spiked import SpikeParams
 
 __all__ = [
     "WeightOperator",
@@ -53,7 +54,7 @@ class WeightOperator:
 
     def __init__(self, kind: str, data, dim: int):
         dim = _check_int(dim, "weight dim", low=0)
-        if kind == "indices":
+        if _expect(kind, str, "weight kind") == "indices":
             data = np.unique(_index_set(data, dim, "indices"))
             if data.size == 0:
                 raise ValueError("index weight must be a nonempty index set")
@@ -72,11 +73,11 @@ class WeightOperator:
     # -- constructors ---------------------------------------------------
     @classmethod
     def from_matrix(cls, matrix) -> "WeightOperator":
-        return cls("dense", matrix, np.size(matrix, -1) if np.ndim(matrix) else 0)
+        return cls("dense", matrix, np.size(matrix, -1) if _ndim(matrix) > 0 else 0)
 
     @classmethod
     def from_diagonal(cls, diag) -> "WeightOperator":
-        return cls("diag", diag, np.size(diag))
+        return cls("diag", diag, np.size(diag) if _ndim(diag) >= 0 else 0)
 
     @classmethod
     def from_indices(cls, indices, dim: int) -> "WeightOperator":
@@ -114,6 +115,14 @@ class WeightOperator:
         return f"WeightOperator(kind={self.kind!r}, dim={self.dim})"
 
 
+def _ndim(data) -> int:
+    """``np.ndim(data)``, or -1 for ragged data, which the constructor rejects by its label."""
+    try:
+        return np.ndim(data)
+    except ValueError:
+        return -1
+
+
 def as_weight_operator(weight, dim: int) -> WeightOperator:
     """Coerce ``weight`` to a :class:`WeightOperator` acting on length ``dim``.
 
@@ -129,7 +138,7 @@ def as_weight_operator(weight, dim: int) -> WeightOperator:
             raise DimensionMismatchError(
                 f"weight operator has {weight.dim} columns, expected {dim}")
         return weight
-    return WeightOperator("diag" if np.ndim(weight) == 1 else "dense", weight, dim)
+    return WeightOperator("diag" if _ndim(weight) == 1 else "dense", weight, dim)
 
 
 @dataclass(frozen=True)
@@ -142,7 +151,7 @@ class Partition:
     def __post_init__(self):
         dim = _check_int(self.dim, "partition dim", low=1)
         if not isinstance(self.blocks, (tuple, list)):
-            raise ValueError(f"partition blocks must be a sequence, got {self.blocks!r}")
+            raise ValueError(f"partition blocks must be a sequence, got {_shown(self.blocks)}")
         blocks = tuple(_index_set(b, dim, "partition block") for b in self.blocks)
         if any(b.size == 0 or np.any(b[1:] <= b[:-1]) for b in blocks):
             raise ValueError("every partition block must be nonempty and strictly increasing")
@@ -162,8 +171,9 @@ class Partition:
 
     @classmethod
     def from_lists(cls, dim: int, lists) -> "Partition":
+        dim = _check_int(dim, "partition dim", low=1)
         if not isinstance(lists, (tuple, list)):
-            raise ValueError(f"partition blocks must be a sequence, got {lists!r}")
+            raise ValueError(f"partition blocks must be a sequence, got {_shown(lists)}")
         return cls(dim, tuple(np.sort(_index_set(b, dim, "partition block")) for b in lists))
 
     @classmethod

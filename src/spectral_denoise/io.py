@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _shortest
-from .errors import DimensionMismatchError, MatrixFileError
-from .spiked import SpikeParams, _expect, _index_set, _real_array
+from .errors import (DimensionMismatchError, MatrixFileError, _MAX_INTP, _expect, _index_set,
+                     _real_array, _shown)
+from .spiked import SpikeParams
 
 __all__ = [
     "read_dense_csv",
@@ -87,6 +88,8 @@ def read_dense_csv(path, missing_sentinel: str | None = None):
     ``(matrix, mask)`` with zeros at unobserved positions; otherwise every
     cell must parse as a float and only the matrix is returned.
     """
+    if missing_sentinel is not None:
+        _expect(missing_sentinel, str, "missing_sentinel")
     with _open_text(path) as fh:
         line, pos = _next_line(fh)
         if not line:
@@ -138,12 +141,9 @@ def read_coordinate_csv(path):
     return tuple(np.ascontiguousarray(table[k]) for k in ("r", "c", "v"))
 
 
-_INTP = np.iinfo(np.intp)
-
-
 def write_coordinate_csv(path, rows, cols, values) -> None:
-    rows = _index_set(rows, _INTP.max, "rows")  # no bound but the type's is known
-    cols = _index_set(cols, _INTP.max, "cols")
+    rows = _index_set(rows, _MAX_INTP, "rows")  # no bound but the type's is known
+    cols = _index_set(cols, _MAX_INTP, "cols")
     values = _real_array(values, "values", finite=False)
     if not (rows.shape == cols.shape == values.shape):
         raise DimensionMismatchError("rows, cols, values must have equal length")
@@ -154,7 +154,7 @@ def write_coordinate_csv(path, rows, cols, values) -> None:
 
 
 def _is_index(i) -> bool:
-    return type(i) is int and _INTP.min <= i <= _INTP.max
+    return type(i) is int and -_MAX_INTP - 1 <= i <= _MAX_INTP
 
 
 def _read_json(path):
@@ -237,7 +237,7 @@ def validate_report(report: dict) -> None:
     if missing:
         raise ValueError(f"report is missing keys: {missing}")
     if report["schema"] != REPORT_SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {report['schema']!r}")
+        raise ValueError(f"unsupported report schema {_shown(report['schema'])}")
 
 
 def write_report_json(path, report: dict) -> None:

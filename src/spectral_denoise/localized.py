@@ -21,7 +21,7 @@ import numpy as np
 
 from .denoise import LocalizedResult, spectral_fit
 from .geometry import Partition
-from .spiked import _check_int
+from .errors import _check_int
 
 __all__ = [
     "make_equispaced_partition",
@@ -35,7 +35,7 @@ def make_equispaced_partition(dim: int, num_blocks: int) -> Partition:
 
     The first ``dim % num_blocks`` blocks take the larger size.
     """
-    dim = _check_int(dim, "dim")
+    dim = _check_int(dim, "dim", low=1)
     num_blocks = _check_int(num_blocks, "num_blocks", low=1, high=dim)
     blocks = np.array_split(np.arange(dim, dtype=np.intp), num_blocks)
     return Partition(dim, tuple(blocks))

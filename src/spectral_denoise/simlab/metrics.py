@@ -6,9 +6,8 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt, norm
-from ..errors import DimensionMismatchError, UndefinedMetricError
+from ..errors import DimensionMismatchError, UndefinedMetricError, _real_array
 from ..geometry import as_weight_operator
-from ..spiked import _real_array
 
 __all__ = ["relative_error", "weighted_loss"]
 

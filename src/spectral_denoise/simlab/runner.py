@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import __version__
 from ..io import _read_json
-from ..spiked import _check_int, _check_real
+from ..errors import _check_int, _check_real, _shown
 from .noise import derive_seed
 from .scenarios import SCENARIOS
 
@@ -48,7 +48,7 @@ def _check_param(name: str, key: str, value, default) -> None:
     if isinstance(default, (list, tuple)):
         if (not isinstance(value, (list, tuple)) or not value
                 or (isinstance(default, tuple) and len(value) != len(default))):
-            raise ValueError(f"{label} must be a list like {list(default)!r}, got {value!r}")
+            raise ValueError(f"{label} must be a list like {list(default)!r}, got {_shown(value)}")
         for entry in value:
             _check_param(name, key, entry, default[0])
     elif isinstance(default, int):
@@ -65,14 +65,14 @@ def resolve_config(config) -> dict:
         raise ValueError("config must be a dict or a path to a JSON file")
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}; expected {list(_CONFIG_KEYS)}")
+        raise ValueError(f"unknown config key {_shown(unknown[0])}; expected {list(_CONFIG_KEYS)}")
     schema = config.get("schema", CONFIG_SCHEMA_VERSION)
     if schema != CONFIG_SCHEMA_VERSION:
-        raise ValueError(f"unsupported config schema {schema!r}; "
+        raise ValueError(f"unsupported config schema {_shown(schema)}; "
                          f"this build reads schema {CONFIG_SCHEMA_VERSION}")
     name = config.get("scenario")
     if not isinstance(name, str) or name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
+        raise ValueError(f"unknown scenario {_shown(name)}; expected one of "
                          f"{sorted(SCENARIOS)}")
     seed, replicates = config.get("seed", 0), config.get("replicates", 20)
     seed = _check_int(seed, "config 'seed'", high=None)
@@ -82,12 +82,12 @@ def resolve_config(config) -> dict:
         raise ValueError(f"config 'scale' must be a number in (0, 1], got {scale!r}")
     given = config.get("params", {})
     if not isinstance(given, dict):
-        raise ValueError(f"config 'params' must be a JSON object, got {given!r}")
+        raise ValueError(f"config 'params' must be a JSON object, got {_shown(given)}")
     scenario = SCENARIOS[name]
     params = dict(scenario.defaults)
     unknown = sorted(set(given) - set(params))
     if unknown:
-        raise ValueError(f"unknown {name} param {unknown[0]!r}; valid params: "
+        raise ValueError(f"unknown {name} param {_shown(unknown[0])}; valid params: "
                          f"{sorted(params)}")
     for key, value in given.items():
         _check_param(name, key, value, params[key])
@@ -201,7 +201,8 @@ def run_experiment(config, output_dir=None, jobs: int = 1) -> ExperimentReport:
 
     start = time.perf_counter()
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork pool starts all its workers at once: no more than there are replicates.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunks = list(pool.map(_run_one, tasks))
     else:
         chunks = [_run_one(t) for t in tasks]

@@ -22,7 +22,8 @@ from ..geometry import Partition, WeightOperator
 from ..localized import make_equispaced_partition
 from .._blas import abt, norm
 from .._svd import top_svd
-from ..spiked import _check_int, cosines
+from ..errors import _check_int
+from ..spiked import cosines
 from .metrics import relative_error, weighted_loss
 from .noise import derive_seed, gen_noise, make_rng
 from .signals import gen_signal, two_block_vectors

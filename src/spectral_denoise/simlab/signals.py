@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import qr
 
 from .._blas import abt
-from ..spiked import _check_int, _check_real, _expect, _real_array
+from ..errors import _check_int, _check_real, _expect, _real_array, _shown
 
 __all__ = ["Signal", "gen_signal", "two_block_vectors"]
 
@@ -138,11 +138,13 @@ def gen_signal(kind: str, p: int, n: int, **params) -> Signal:
     Positive integers ``p``, ``n``; a nonempty, finite, positive, nonincreasing ``t`` (ties
     allowed); ``U`` ``p x r`` and ``V`` ``n x r`` orthonormal to ``1e-8``, else ``ValueError``.
     """
-    maker = _MAKERS.get(kind)
+    maker = _MAKERS.get(kind) if isinstance(kind, str) else None
     if maker is None:
-        raise ValueError(f"unknown signal kind {kind!r}")
+        raise ValueError(f"unknown signal kind {_shown(kind)}")
     for m, name in ((p, "p"), (n, "n")):
         _check_int(m, f"{kind} signal {name}", low=1)
+    if "t" in params:  # the makers size their factors by t
+        params["t"] = _real_array(params["t"], f"{kind} signal t", finite=False)
     U, t, V = (_real_array(a, f"{kind} signal {name}", finite=False)
                for a, name in zip(maker(p, n, **params), "UtV"))
     r = t.size

@@ -1,4 +1,4 @@
-"""Every float array enters the package through ``spiked._real_array``.
+"""Every float array enters the package through ``errors._real_array``.
 
 A coercion written by hand, ``np.asarray(x, dtype=float)`` or
 ``x.astype(float)``, drops an imaginary part with only a warning and
@@ -17,7 +17,7 @@ from test_blas_sites import _attribute_path
 PACKAGE = Path(spectral_denoise.__file__).resolve().parent
 
 ALLOWED = {
-    ("spiked.py", "_real_array"),
+    ("errors.py", "_real_array"),
     ("_blas.py", "abt"),
     ("_blas.py", "norm"),
     ("io.py", "read_dense_csv"),

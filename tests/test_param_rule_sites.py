@@ -3,7 +3,7 @@
 A scenario that checks a param itself gives the param a second home whose
 rule can drift from the first, and its check runs only after ``scale`` has
 resized the value, inside each replicate.  This test lists each use of
-``spiked._check_int`` or ``_check_real`` in ``simlab/scenarios.py`` by
+``errors._check_int`` or ``_check_real`` in ``simlab/scenarios.py`` by
 function and allows only ``offset_partition``, a public helper that checks
 its own argument.
 """

@@ -1,4 +1,4 @@
-"""Every float-array argument follows one rule: ``spiked._real_array``.
+"""Every float-array argument follows one rule: ``errors._real_array``.
 
 Complex data, text, data that is not numbers and (where the site needs
 finite values) nan or inf raise ``ValueError`` naming the argument.  They
@@ -27,7 +27,7 @@ from spectral_denoise import (DegenerateEstimateError, NoiseCovariances, Partiti
 from spectral_denoise._svd import svd_head_above
 from spectral_denoise.io import validate_report, write_coordinate_csv, write_dense_csv
 from spectral_denoise.simlab import gen_signal, relative_error, weighted_loss
-from spectral_denoise.spiked import _real_array
+from spectral_denoise.errors import _real_array
 
 _Y = np.random.default_rng(3).standard_normal((6, 8)) / np.sqrt(8)
 _V = np.eye(5)[:, :2]

@@ -1,4 +1,4 @@
-"""Every scalar range follows one rule: ``spiked._check_int`` or ``_check_real``.
+"""Every scalar range follows one rule: ``errors._check_int`` or ``_check_real``.
 
 A count takes closed bounds (``_check_int(value, name, low, high)``); a real
 level is a finite number > 0 or >= 0 (``_check_real(..., positive=True)`` or
@@ -15,7 +15,8 @@ from spectral_denoise import (Partition, WeightOperator, cli, estimate_spike_par
 from spectral_denoise._svd import svd_head_above, top_svd
 from spectral_denoise.simlab import (gen_noise, gen_signal, offset_partition, resolve_config,
                                      run_experiment, two_block_vectors)
-from spectral_denoise.spiked import _check_int, _check_real, bulk_edge
+from spectral_denoise.errors import _check_int, _check_real
+from spectral_denoise.spiked import bulk_edge
 
 _Y = np.random.default_rng(0).standard_normal((6, 8)) / np.sqrt(8)
 _STRONG = np.eye(6, 8) * np.arange(60.0, 0.0, -10.0)[:, None]  # six spikes above the bulk

@@ -4,6 +4,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -22,7 +23,7 @@ from spectral_denoise.simlab import (derive_seed, gen_noise, gen_signal, make_rn
                                      relative_error, resolve_config,
                                      run_experiment, splitmix64, two_block_vectors,
                                      weighted_loss)
-from spectral_denoise.simlab import scenarios
+from spectral_denoise.simlab import runner, scenarios
 from spectral_denoise.simlab.scenarios import SCENARIOS, offset_partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -659,6 +660,18 @@ class TestRunner:
         par = run_experiment(self.CONFIG, jobs=2)
         assert seq.rows == par.rows
         assert seq.aggregates == par.aggregates
+
+    def test_pool_has_no_more_workers_than_replicates(self, monkeypatch):
+        sizes = []
+
+        def pool(max_workers):  # threads: the test forks nothing
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        par = run_experiment(self.CONFIG, jobs=10**6)
+        assert sizes == [len(par.seeds)]
+        assert par.rows == run_experiment(self.CONFIG, jobs=1).rows
 
     def test_rank_estimation_scenario(self):
         rep = run_experiment({"scenario": "rank-estimation", "seed": 5,
