@@ -185,7 +185,7 @@ def _cmd_simulate(args) -> int:
     overrides = {"scenario": args.scenario or None, "replicates": args.replicates,
                  "scale": args.scale, "seed": seed}
     config.update((k, v) for k, v in overrides.items() if v is not None)
-    report = run_experiment(config, output_dir=args.output_dir, jobs=args.jobs)
+    report = run_experiment(config, output_dir=args.output_dir)
     print(f"{report.scenario}: {len(report.rows)} rows, "
           f"{report.wall_clock_s:.2f}s -> {args.output_dir}")
     return EXIT_OK
@@ -253,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help=f"base seed (falls back to ${ENV_SEED})")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
     return parser
 

@@ -100,6 +100,8 @@ def _expect(value, kind, name: str):
 def _index_set(values, dim: int, name: str) -> np.ndarray:
     """``values`` as a 1-D ``intp`` array in ``[0, dim)``; anything else raises ``ValueError``."""
     dim = _check_int(dim, "dim")
+    if isinstance(values, np.ma.MaskedArray):  # np.asarray would drop the mask
+        raise ValueError(f"{name} must not be a masked array")
     try:
         arr = np.asarray(values)
     except ValueError as exc:  # a ragged list
@@ -116,7 +118,9 @@ def _index_set(values, dim: int, name: str) -> np.ndarray:
 def _real_array(values, name: str, ndim: int | None = None, finite: bool = True) -> np.ndarray:
     """``values`` as a float array, a float64 array as itself; complex data, text or other
     non-numbers, another dimension than ``ndim`` or, if ``finite``, nan or inf raise
-    ``ValueError``."""
+    ``ValueError``, as does a masked array, whose mask ``np.asarray`` would drop."""
+    if isinstance(values, np.ma.MaskedArray):
+        raise ValueError(f"{name} must not be a masked array")
     try:
         arr = np.asarray(values)
         if arr.dtype.kind in "SU" or arr.dtype == object and any(
@@ -145,7 +149,7 @@ def _as_matrix(Y) -> np.ndarray:
 
 def _as_mask(mask) -> np.ndarray:
     """``mask`` as booleans; it must hold booleans, or numbers that are all 0 or 1."""
-    if not (isinstance(mask, np.ndarray) and mask.dtype == bool):
+    if not (type(mask) is np.ndarray and mask.dtype == bool):  # a masked one meets _real_array
         mask = _real_array(mask, "mask", finite=False)
         if not np.all((mask == 0) | (mask == 1)):  # NaN fails both comparisons
             raise ValueError("mask must hold booleans, or numbers that are all 0 or 1")

@@ -5,9 +5,8 @@ Configs are JSON objects with a versioned schema::
     {"schema": 1, "scenario": "submatrix", "seed": 7,
      "replicates": 50, "scale": 1.0, "params": {...}}
 
-Replicates are independent jobs with seeds derived from the base seed,
-so a worker pool and a sequential run produce identical rows; the
-aggregates are folded per group in replicate-index order.
+Replicates run one after another in the calling process, each on a seed derived from the
+base seed; the aggregates are folded per group in replicate-index order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,8 +171,7 @@ def _aggregate(rows: list[dict], group_keys: list[str], columns: list[str]) -> l
     return out
 
 
-def _run_one(args):
-    name, params, replicate_index, seed = args
+def _run_one(name, params, replicate_index, seed):
     rows = SCENARIOS[name].replicate(params, seed)
     for row in rows:
         row["replicate"] = replicate_index
@@ -185,30 +182,20 @@ def _run_one(args):
 def run_experiment(config, output_dir=None, jobs: int = 1) -> ExperimentReport:
     """Run a registered scenario and aggregate its per-replicate metrics.
 
-    ``jobs > 1`` evaluates replicates on a process pool; rows and
-    aggregates are identical to a sequential run because every replicate
-    owns its derived seed and results are folded in replicate order.
-    Writes ``report.json`` and ``replicates.csv`` when ``output_dir`` is
-    given.
+    Replicates run in order in this process; ``jobs`` must be 1 and goes with the next
+    benchmark change.  Writes ``report.json`` and ``replicates.csv`` when ``output_dir`` is given.
     """
-    jobs = _check_int(jobs, "jobs", low=1)
+    _check_int(jobs, "jobs", low=1, high=1)
     resolved = resolve_config(config)
     scenario = SCENARIOS[resolved["scenario"]]
     seeds = tuple(derive_seed(resolved["seed"], i)
                   for i in range(resolved["replicates"]))
-    tasks = [(resolved["scenario"], resolved["params"], i, s)
-             for i, s in enumerate(seeds)]
 
     start = time.perf_counter()
-    if jobs > 1:
-        # A fork pool starts all its workers at once: no more than there are replicates.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunks = list(pool.map(_run_one, tasks))
-    else:
-        chunks = [_run_one(t) for t in tasks]
+    rows = [row for i, seed in enumerate(seeds)
+            for row in _run_one(resolved["scenario"], resolved["params"], i, seed)]
     elapsed = time.perf_counter() - start
 
-    rows = [row for chunk in chunks for row in chunk]
     lead = ["replicate", "seed"] + scenario.group_keys
     metric_cols = [c for c in rows[0] if c not in lead]
     columns = tuple(lead + metric_cols)

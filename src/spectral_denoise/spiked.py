@@ -180,8 +180,11 @@ class SpikeParams:
     gamma: float
 
     def __post_init__(self):
+        _check_int(self.rank, "SpikeParams.rank", low=0)
+        _check_real(self.gamma, "SpikeParams.gamma", positive=True)
         for name in ("observed", "t", "c", "c_tilde", "s", "s_tilde"):
-            v = getattr(self, name)
+            v = _real_array(getattr(self, name), f"SpikeParams.{name}", ndim=1)
+            object.__setattr__(self, name, v)  # a float64 array is stored as itself
             if v.shape != (self.rank,):
                 raise ValueError(f"SpikeParams.{name} must have length rank={self.rank}")
 

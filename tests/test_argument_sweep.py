@@ -28,7 +28,6 @@ import pytest
 
 import spectral_denoise as sd
 from spectral_denoise import io, simlab
-from spectral_denoise.simlab import runner
 
 HOSTILE = (10**400, -10**400, 2**64, 10**5000, np.array(1.0), np.array([1, 2]),
            np.ma.masked_array([1.0, 2.0], mask=[False, True]), 1e308, -1e308, 5e-324,
@@ -45,7 +44,6 @@ EXEMPT = {
     "ShrinkageReport": "a record that check_shrinkage_properties builds",
     "ExperimentReport": "a record that run_experiment builds",
     "Signal": "a record that gen_signal builds",
-    "SpikeParams": "a record that estimate_spike_params builds",
     "WeightedGeometry": "a record that recover_population_geometry builds",
 }
 
@@ -126,6 +124,9 @@ def _rows(tmp):
              "mu": 1.0, "nu": 1.0},
             {"gram_left": "gram_left|grams", "gram_right": "gram_right|grams",
              "mu": "mu|row weight", "nu": "nu|column weight"}, {}),
+        "SpikeParams": (sd.SpikeParams, {"rank": 1, "observed": [3.0], "t": [2.0],
+                                         "c": [0.9], "c_tilde": [0.9], "s": [0.1],
+                                         "s_tilde": [0.1], "gamma": 0.5}, {}, {}),
         "amse_estimate": (sd.amse_estimate, {"geom": _GEOM}, {}, {}),
         "optimal_coefficients": (sd.optimal_coefficients, {"geom": _GEOM}, {}, {}),
         "check_shrinkage_properties": (sd.check_shrinkage_properties,
@@ -269,11 +270,6 @@ def _failure(func, kwargs, label=None, allowed=None):
 def rows(tmp_path, monkeypatch):
     _write_files(tmp_path)
     monkeypatch.chdir(tmp_path)  # a config "1" is a path that does not exist
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the sweep starts no process pool")
-
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
     return _rows(tmp_path)
 
 

@@ -18,7 +18,6 @@ from test_one_blas_pool import _clipped, _close, _pipelines
 
 from spectral_denoise import _blas, _svd
 from spectral_denoise._svd import svd_head_above, top_svd
-from spectral_denoise.simlab import run_experiment
 
 SETTER = _blas._thread_setter()
 needs_setter = pytest.mark.skipif(SETTER is None, reason="scipy's BLAS has no thread setter")
@@ -153,11 +152,3 @@ def test_pipelines_match_a_two_thread_run(p, n, r, monkeypatch, two_threads):
         if min(p, n) >= BELOW:  # the gate changed nothing
             assert res.estimate.tobytes() == ref.estimate.tobytes(), name
 
-
-def test_simulate_rows_match_across_jobs(tmp_path):
-    config = {"scenario": "heteroscedastic", "seed": 21, "replicates": 2,
-              "params": {"p": 100, "n": 200}}
-    run_experiment(config, output_dir=tmp_path / "one", jobs=1)
-    run_experiment(config, output_dir=tmp_path / "two", jobs=2)
-    rows = [(tmp_path / d / "replicates.csv").read_bytes() for d in ("one", "two")]
-    assert rows[0] == rows[1]

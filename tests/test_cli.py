@@ -532,21 +532,6 @@ class TestExitCodes:
 
 
 class TestSimulateCommand:
-    def test_jobs_do_not_change_aggregates(self, tmp_path):
-        cfg = {"schema": 1, "scenario": "rank-estimation", "seed": 13,
-               "replicates": 4, "params": {"p": 100, "n": 200}}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert cli.main(["simulate", "--config", str(cfg_path),
-                         "--output-dir", str(tmp_path / "one"), "--jobs", "1"]) == 0
-        assert cli.main(["simulate", "--config", str(cfg_path),
-                         "--output-dir", str(tmp_path / "eight"), "--jobs", "8"]) == 0
-        a = json.loads((tmp_path / "one" / "report.json").read_text())
-        b = json.loads((tmp_path / "eight" / "report.json").read_text())
-        assert a["aggregates"] == b["aggregates"]
-        assert (tmp_path / "one" / "replicates.csv").read_text() \
-            == (tmp_path / "eight" / "replicates.csv").read_text()
-
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(b"\xff\xfe\x00")

@@ -8,6 +8,10 @@ The generic argument rules live in ``errors``, the leaf every module imports
 for the error types they raise.  A second definition elsewhere could drift
 from the first, and an import of the package from ``errors`` would make the
 leaf a node of a cycle.
+
+A run of the package stays in the calling process: no module imports
+``concurrent.futures`` or ``multiprocessing``.  Simlab replicates run one after
+another, on the BLAS threads the process has, in replicate order.
 """
 
 import ast
@@ -90,3 +94,44 @@ def test_guards_see_a_second_home_and_a_package_import():
     assert list(_package_imports(tree)) == [1, 2, 3, 4]
     assert set(_definitions(tree)) & RULES == {"_MAX_INTP", "_expect", "_as_mask",
                                                 "_real_array"}
+
+
+#: The standard modules that start worker processes or pools.
+PROCESS_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _process_imports(tree):
+    """The lines of ``tree`` that import one of ``PROCESS_MODULES`` or a module inside it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name == mod or name.startswith(mod + ".")
+               for name in names for mod in PROCESS_MODULES):
+            yield node.lineno
+
+
+def test_no_module_imports_a_process_pool():
+    files = sorted(PACKAGE.rglob("*.py"))
+    found = sorted(f"{path.relative_to(PACKAGE)}:{line}" for path in files
+                   for line in _process_imports(ast.parse(path.read_text())))
+    assert found == []
+
+
+def test_process_guard_sees_each_import_form():
+    src = ("from concurrent.futures import ProcessPoolExecutor\n"
+           "import multiprocessing\n"
+           "import concurrent.futures as cf\n"
+           "from concurrent import futures\n"
+           "from multiprocessing.pool import Pool\n"
+           "import os, multiprocessing.shared_memory\n"
+           "def run():\n"
+           "    from multiprocessing import get_context\n"
+           "import concurrent\n"
+           "import multiprocessing_helpers\n"
+           "from .multiprocessing import Pool\n"
+           "from threading import Thread\n")
+    assert sorted(_process_imports(ast.parse(src))) == [1, 2, 3, 4, 5, 6, 8]

@@ -1,7 +1,8 @@
 """Every float-array argument follows one rule: ``errors._real_array``.
 
-Complex data, text, data that is not numbers and (where the site needs
-finite values) nan or inf raise ``ValueError`` naming the argument.  They
+Complex data, text, data that is not numbers, a masked array (also as an
+index set or a mask) and (where the site needs finite values) nan or inf
+raise ``ValueError`` naming the argument.  They
 never drop an imaginary part, read text as numbers, return a value or raise
 ``TypeError``.  A mask holds booleans or 0s and 1s.  An argument that must
 be an object of one of the package's types, or a real scalar, follows the
@@ -113,6 +114,10 @@ def _bad(kind, good):
         return {}
     if kind == "text":
         return good.astype(str)
+    if kind == "masked":  # np.asarray would drop the mask and read the hidden entry
+        mask = np.zeros(good.shape, bool)
+        mask.flat[0] = True
+        return np.ma.masked_array(good, mask=mask)
     if kind == "past-float-range":  # an int no float can hold
         bad = good.astype(object)
         bad.flat[0] = 10**400
@@ -125,7 +130,7 @@ def _bad(kind, good):
 @pytest.mark.parametrize("call, good, name, kind", [
     pytest.param(call, good, name, kind, id=f"{label}-{kind}")
     for label, call, good, name, finite in ARGUMENTS
-    for kind in ("complex-array", "complex-list", "dict", "text", "past-float-range")
+    for kind in ("complex-array", "complex-list", "dict", "text", "past-float-range", "masked")
     + (("nan",) if finite else ())
 ])
 def test_argument_that_is_not_a_real_array_is_a_value_error_naming_it(call, good, name, kind):
@@ -200,6 +205,30 @@ def test_typed_arguments_of_the_right_type_are_accepted():
     assert optimal_coefficients(_GEOM).shape == (0, 0)
 
 
+# An index set given as a masked array: the masked entry would be used as an index.
+_HIDDEN = np.ma.masked_array([0, 1], mask=[False, True])
+INDEX_SETS = {
+    "SamplingPattern-rows": (lambda x: SamplingPattern(_Q_ROW, _Q_COL, x, [0, 2], [1.0, 2.0]),
+                             "rows"),
+    "SamplingPattern-cols": (lambda x: SamplingPattern(_Q_ROW, _Q_COL, [0, 1], x, [1.0, 2.0]),
+                             "cols"),
+    "from_indices": (lambda x: WeightOperator.from_indices(x, 3), "indices"),
+    "Partition.from_lists": (lambda x: Partition.from_lists(2, [x]), "partition block"),
+    "submatrix_denoise": (lambda x: submatrix_denoise(_Y, x, [2]), "indices"),
+    "write_coordinate_csv": (lambda x: write_coordinate_csv(os.devnull, x, [0, 1], [1.0, 2.0]),
+                             "rows"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SETS))
+def test_masked_index_set_is_a_value_error_naming_it(site):
+    call, name = INDEX_SETS[site]
+    call(_HIDDEN.data)  # the same indices unmasked are accepted
+    with pytest.raises(ValueError, match=rf"^{name} must not be a masked array") as info:
+        call(_HIDDEN)
+    assert info.type is ValueError
+
+
 _MASK = np.array([[1, 0, 1], [0, 1, 1]])
 MASK_CALLS = {
     "from_dense": lambda m: SamplingPattern.from_dense(np.ones((2, 3)), m, _Q_ROW, _Q_COL),
@@ -207,7 +236,8 @@ MASK_CALLS = {
 }
 BAD_MASKS = {"complex": _MASK + 1j, "complex-list": (_MASK + 0j).tolist(), "dict": {},
              "halves": np.full((2, 3), 0.5), "nan": np.full((2, 3), np.nan),
-             "two": 2 * _MASK, "text": _MASK.astype(str)}
+             "two": 2 * _MASK, "text": _MASK.astype(str),
+             "masked": np.ma.masked_array(_MASK.astype(bool), mask=_MASK == 0)}
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_MASKS))
@@ -251,6 +281,7 @@ def test_real_array_rule_and_wording():
                          ([[10**400, 1.0]], "x must hold numbers: int too large to convert"),
                          ([[1.0], [1.0, 2.0]], "x must hold numbers: "),
                          (x[0], "x must be 2-D, got 1-D"),
+                         (np.ma.masked_array(x), "x must not be a masked array"),
                          ([1.0, np.inf], "x must have finite entries")):
         with pytest.raises(ValueError, match=re.escape(message)):
             _real_array(bad, "x", ndim=2 if message.endswith("1-D") else None)

@@ -70,6 +70,7 @@ SITES = {
     "replicates": (lambda v: resolve_config({"scenario": "submatrix", "replicates": v}),
                    "'replicates'", 0, [1]),
     "jobs": (lambda v: _simulate("rank-estimation", jobs=v), "jobs", 0, [1]),
+    "jobs-high": (lambda v: _simulate("rank-estimation", jobs=v), "jobs", 2, [1]),
     "kappa-grid": (lambda v: _simulate("heteroscedastic", kappa_grid=[10.0, v]), "kappa_grid",
                    0.0, [1.0]),
     "sigma-grid": (lambda v: _simulate("missing-data", sigma_grid=[v]), "sigma_grid", 0.0,

@@ -4,7 +4,6 @@ import re
 import tempfile
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -23,7 +22,7 @@ from spectral_denoise.simlab import (derive_seed, gen_noise, gen_signal, make_rn
                                      relative_error, resolve_config,
                                      run_experiment, splitmix64, two_block_vectors,
                                      weighted_loss)
-from spectral_denoise.simlab import runner, scenarios
+from spectral_denoise.simlab import scenarios
 from spectral_denoise.simlab.scenarios import SCENARIOS, offset_partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -490,16 +489,25 @@ class TestRunner:
         assert cli.main(["simulate", "--config", str(path),
                          "--output-dir", str(tmp_path / "o")]) == 5
 
-    @pytest.mark.parametrize("jobs", [0, -4, 1.5, True, "2", None])
+    @pytest.mark.parametrize("jobs", [0, pytest.param(2, id="int-2"), -4, 1.5, True, "2",
+                                      None])
     def test_bad_jobs_is_named_before_any_draw(self, jobs, monkeypatch):
         monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
         with pytest.raises(ValueError, match="jobs"):
             run_experiment({"scenario": "rank-estimation", "replicates": 1}, jobs=jobs)
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--replicates"])
-    def test_zero_count_flag_exits_5(self, flag, tmp_path, monkeypatch):
+    def test_jobs_flag_is_refused_by_the_parser(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
-        assert cli.main(["simulate", "--scenario", "rank-estimation", flag, "0",
+        with pytest.raises(SystemExit) as info:
+            cli.main(["simulate", "--scenario", "rank-estimation", "--jobs", "2",
+                      "--output-dir", str(tmp_path / "o")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_count_flag_exits_5(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "gen_signal", self._no_draw)
+        assert cli.main(["simulate", "--scenario", "rank-estimation", "--replicates", "0",
                          "--output-dir", str(tmp_path / "o")]) == 5
 
     @staticmethod
@@ -654,24 +662,6 @@ class TestRunner:
         agg = report.group_metrics(dist="gaussian")[col]
         assert vals.mean() == pytest.approx(agg["mean"], abs=1e-15)
         assert vals.max() == agg["max"]
-
-    def test_worker_pool_matches_sequential(self):
-        seq = run_experiment(self.CONFIG, jobs=1)
-        par = run_experiment(self.CONFIG, jobs=2)
-        assert seq.rows == par.rows
-        assert seq.aggregates == par.aggregates
-
-    def test_pool_has_no_more_workers_than_replicates(self, monkeypatch):
-        sizes = []
-
-        def pool(max_workers):  # threads: the test forks nothing
-            sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
-        par = run_experiment(self.CONFIG, jobs=10**6)
-        assert sizes == [len(par.seeds)]
-        assert par.rows == run_experiment(self.CONFIG, jobs=1).rows
 
     def test_rank_estimation_scenario(self):
         rep = run_experiment({"scenario": "rank-estimation", "seed": 5,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_denoise import (BelowDetectionThresholdError, DegenerateEstimateError,
-                              bulk_edge, check_shrinkage_properties, cosines, detection_point,
+                              SpikeParams, bulk_edge, check_shrinkage_properties, cosines, detection_point,
                               estimate_spike_params, forward_singular_value,
                               invert_singular_value, naive_rank, spectral_fit)
 
@@ -174,6 +174,34 @@ class TestEstimateSpikeParams:
 
     def test_numpy_integer_rank_accepted(self):
         assert estimate_spike_params([3.0, 2.5], 0.5, rank=np.int64(2)).rank == 2
+
+
+class TestSpikeParams:
+    def test_vectors_given_as_lists_are_stored_as_float_arrays(self):
+        sp = SpikeParams(1, [3.0], [2.0], [0.9], [0.9], [0.1], [0.1], 0.5)
+        assert sp.t.dtype == np.float64 and sp.t.shape == (1,)
+        np.testing.assert_array_equal(sp.observed, [3.0])
+
+    def test_float64_vectors_are_kept_as_they_are(self):
+        sp = estimate_spike_params([4.0, 3.0], 0.5, rank=2)
+        again = SpikeParams(sp.rank, sp.observed, sp.t, sp.c, sp.c_tilde, sp.s, sp.s_tilde,
+                            sp.gamma)
+        assert all(getattr(again, f) is getattr(sp, f)
+                   for f in ("observed", "t", "c", "c_tilde", "s", "s_tilde"))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rank", -1, "SpikeParams.rank=-1 must be nonnegative"),
+        ("rank", 1.0, "SpikeParams.rank must be an integer"),
+        ("gamma", 0.0, "SpikeParams.gamma must be a finite number > 0"),
+        ("t", [[2.0]], "SpikeParams.t must be 1-D"),
+        ("c", [np.nan], "SpikeParams.c must have finite entries"),
+        ("s", [0.1, 0.2], "SpikeParams.s must have length rank=1"),
+    ])
+    def test_bad_field_is_a_value_error_naming_it(self, field, value, message):
+        fields = dict(rank=1, observed=[3.0], t=[2.0], c=[0.9], c_tilde=[0.9], s=[0.1],
+                      s_tilde=[0.1], gamma=0.5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpikeParams(**{**fields, field: value})
 
 
 @pytest.mark.slow
